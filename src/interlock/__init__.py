@@ -36,11 +36,11 @@ from .metrics import (
     betweenness_centralization,
     closeness_centrality,
     closeness_centralization,
+    degree_census_aggregates,
     degree_centralization,
     degree_distribution,
     degree_stats,
     density,
-    geodesic_distances,
     network_aggregates,
     rank_competition,
     vertex_metrics,
@@ -59,7 +59,6 @@ from .projection import project_actors, project_events
 from .report import (
     AnalysisReport,
     build_report,
-    degree_census_aggregates,
     render_table,
     report_to_dict,
     report_to_json,
@@ -95,7 +94,6 @@ __all__ = [
     "degree_distribution",
     "degree_stats",
     "density",
-    "geodesic_distances",
     "line_multiplicity_distribution",
     "m_slice",
     "network_aggregates",

@@ -22,14 +22,13 @@ from .io import (
     write_edge_list_csv,
     write_net_one_mode,
 )
-from .metrics import network_aggregates
+from .metrics import NetworkAggregates, degree_census_aggregates, network_aggregates
 from .projection import project_events
 from .report import (
     SCHEMA_VERSION,
     TABLE_KINDS,
     aggregates_to_dict,
     build_report,
-    degree_census_aggregates,
     render_table,
     report_to_json,
 )
@@ -102,11 +101,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(json_text: str, out: str | None) -> None:
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; a failure is reported on stderr."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit(json_text: str, out: str | None) -> bool:
     if out:
-        Path(out).write_text(json_text, encoding="utf-8")
-    else:
-        sys.stdout.write(json_text)
+        return _write(out, json_text)
+    sys.stdout.write(json_text)
+    return True
+
+
+def _stats_json(aggregates: NetworkAggregates) -> str:
+    payload = {"schema": SCHEMA_VERSION, "aggregates": aggregates_to_dict(aggregates)}
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 def run_analyze(argv: list[str] | None = None) -> int:
@@ -123,7 +137,7 @@ def run_analyze(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"no such input: {args.input}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
 
@@ -149,11 +163,8 @@ def run_analyze(argv: list[str] | None = None) -> int:
     net = project_events(two_mode)
 
     if args.stats_only:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "aggregates": aggregates_to_dict(network_aggregates(net)),
-        }
-        _emit(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", args.out)
+        if not _emit(_stats_json(network_aggregates(net)), args.out):
+            return 2
     else:
         report = build_report(
             net,
@@ -161,18 +172,20 @@ def run_analyze(argv: list[str] | None = None) -> int:
             closeness_variant=args.closeness_variant,
             component_density_variant=args.density_variant,
         )
-        _emit(report_to_json(report), args.out)
+        if not _emit(report_to_json(report), args.out):
+            return 2
         if args.tables:
             for kind in TABLE_KINDS:
                 sys.stdout.write(render_table(report, kind))
                 sys.stdout.write("\n")
 
-    if args.export_net:
-        Path(args.export_net).write_text(write_net_one_mode(net), encoding="utf-8")
-    if args.export_csv:
-        Path(args.export_csv).write_text(write_edge_list_csv(net), encoding="utf-8")
-    if args.export_dot:
-        Path(args.export_dot).write_text(write_dot(net), encoding="utf-8")
+    for target, render in (
+        (args.export_net, write_net_one_mode),
+        (args.export_csv, write_edge_list_csv),
+        (args.export_dot, write_dot),
+    ):
+        if target and not _write(target, render(net)):
+            return 2
     return 0
 
 
@@ -210,9 +223,7 @@ def _run_degree_census(args: argparse.Namespace, text: str) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    payload = {"schema": SCHEMA_VERSION, "aggregates": aggregates}
-    _emit(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", args.out)
-    return 0
+    return 0 if _emit(_stats_json(aggregates), args.out) else 2
 
 
 def main() -> None:

@@ -2,20 +2,21 @@
 centralizations on a one-mode network.
 
 Distances here are geodesic over binary adjacency: line values never enter
-the path computations.  Everything is a pure function of an immutable
-network; per-source passes accumulate with exactly rounded summation so
-results are deterministic no matter how work would be partitioned.
+the path computations.  Every distance figure is a formula over one
+shortest-path sweep per network (:func:`path_sums`), cached until the
+network next changes; sources and neighbours are visited in a fixed order,
+so results are deterministic.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, replace
 from math import fsum, sqrt
 from typing import Iterable, Sequence
 
 from .cohesion import weak_components
-from .model import DENSITY_LOOPS, DENSITY_NO_LOOPS, OneModeNetwork, pair_density
+from .model import DENSITY_LOOPS, DENSITY_NO_LOOPS, GraphView, OneModeNetwork, pair_density
 
 CLOSENESS_VARIANTS = ("paper", "component")
 
@@ -41,7 +42,6 @@ class VertexMetrics:
     degree_rank: int
     closeness_rank: int
     betweenness_rank: int
-    extra: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class NetworkAggregates:
 
     Centralizations need at least 3 vertices and are reported as 0.0 below
     that; closeness centralization is evaluated on the largest connected
-    subnetwork.
+    subnetwork.  Built from a degree census alone, the figures that need
+    the line structure are ``None``.
     """
 
     n: int
@@ -60,10 +61,10 @@ class NetworkAggregates:
     mean_degree: float
     median_degree: float
     sd_degree_population: float
-    degree_centralization: float
-    betweenness_centralization: float
-    closeness_centralization: float
-    component_count: int
+    degree_centralization: float | None
+    betweenness_centralization: float | None
+    closeness_centralization: float | None
+    component_count: int | None
     isolate_count: int
 
 
@@ -103,23 +104,69 @@ def density(net: OneModeNetwork, variant: str = DENSITY_LOOPS) -> float:
     return pair_density(net.n, net.edge_count, variant)
 
 
-def geodesic_distances(net: OneModeNetwork, source: str) -> dict[str, int | None]:
-    """Breadth-first geodesic distances from ``source`` to every vertex.
+@dataclass(frozen=True)
+class PathSums:
+    """Per-vertex totals over all geodesics, indexed like the network's
+    vertices.
 
-    Unreachable vertices map to ``None`` rather than a sentinel distance.
+    ``dependency[v]`` sums, over ordered pairs (s, t) of distinct other
+    vertices with t reachable from s, the share sigma_st(v)/sigma_st of
+    s-t geodesics passing through v; every unordered pair is counted from
+    both endpoints.  ``reach[v]`` counts the other vertices v reaches and
+    ``distance_sum[v]`` adds up their geodesic distances.
     """
-    if not net.has_vertex(source):
-        raise ValueError(f"unknown vertex: {source!r}")
-    dist: dict[str, int | None] = {v: None for v in net.vertices}
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in net.neighbors(u):
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+
+    dependency: list[float]
+    reach: list[int]
+    distance_sum: list[int]
+
+
+def _sweep(view: GraphView) -> PathSums:
+    """One breadth-first pass per source with dependency back-propagation
+    (Brandes 2001).  Sources are taken in vertex order and neighbours in
+    index order; geodesic counts are exact integers."""
+    n = len(view.vertices)
+    adjacency = view.adjacency
+    dependency = [0.0] * n
+    reach = [0] * n
+    distance_sum = [0] * n
+    for source in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[source] = 0
+        sigma[source] = 1
+        order = [source]
+        for u in order:  # the list grows while it is read: a FIFO queue
+            du = dist[u] + 1
+            su = sigma[u]
+            for v in adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = du
+                    order.append(v)
+                if dist[v] == du:
+                    sigma[v] += su
+        reach[source] = len(order) - 1
+        distance_sum[source] = sum(dist[v] for v in order)
+        delta = [0.0] * n
+        for w in reversed(order):
+            dw = dist[w] - 1
+            sw = sigma[w]
+            share = 1.0 + delta[w]
+            for u in adjacency[w]:
+                if dist[u] == dw:
+                    delta[u] += sigma[u] / sw * share
+            if w != source:
+                dependency[w] += delta[w]
+    return PathSums(dependency, reach, distance_sum)
+
+
+def path_sums(net: OneModeNetwork) -> PathSums:
+    """Geodesic totals of ``net``, swept once and cached on its current
+    integer view."""
+    view = net.frozen()
+    if view.path_sums is None:
+        view.path_sums = _sweep(view)
+    return view.path_sums
 
 
 def closeness_centrality(
@@ -133,11 +180,11 @@ def closeness_centrality(
     """
     if variant not in CLOSENESS_VARIANTS:
         raise ValueError(f"unknown closeness variant: {variant!r}")
-    dist = geodesic_distances(net, vertex)
-    reached = [d for v, d in dist.items() if v != vertex and d is not None]
-    r = len(reached)
-    total = sum(reached)
-    if r == 0 or total == 0:
+    i = net.index(vertex)
+    sums = path_sums(net)
+    r = sums.reach[i]
+    total = sums.distance_sum[i]
+    if r == 0:
         return 0.0
     score = r / total
     if variant == "component":
@@ -145,52 +192,18 @@ def closeness_centrality(
     return score
 
 
-def _bfs_shortest_path_dag(net: OneModeNetwork, source: str):
-    """One source pass: visitation stack, predecessor lists, geodesic counts."""
-    dist: dict[str, int] = {source: 0}
-    sigma: dict[str, float] = {v: 0.0 for v in net.vertices}
-    sigma[source] = 1.0
-    preds: dict[str, list[str]] = {v: [] for v in net.vertices}
-    stack: list[str] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        stack.append(u)
-        for v in net.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-            if dist[v] == dist[u] + 1:
-                sigma[v] += sigma[u]
-                preds[v].append(u)
-    return stack, preds, sigma
-
-
 def betweenness_centrality(net: OneModeNetwork) -> dict[str, float]:
     """Normalized betweenness for every vertex.
 
     A vertex scores the geodesic share sigma_st(v)/sigma_st summed over the
     unordered pairs it separates, scaled into [0, 1] by 2/((n-1)(n-2));
-    unreachable pairs contribute nothing.  Computed by per-source
-    shortest-path counting with dependency back-propagation, sources taken
-    in vertex order.
+    unreachable pairs contribute nothing.
     """
     n = net.n
-    accumulated = {v: 0.0 for v in net.vertices}
-    if n >= 3:
-        for source in net.vertices:
-            stack, preds, sigma = _bfs_shortest_path_dag(net, source)
-            delta = {v: 0.0 for v in stack}
-            while stack:
-                w = stack.pop()
-                for u in preds[w]:
-                    delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
-                if w != source:
-                    accumulated[w] += delta[w]
     # every unordered pair was visited from both endpoints, hence the
     # doubled Freeman divisor
     scale = 1.0 / ((n - 1) * (n - 2)) if n >= 3 else 0.0
-    return {v: accumulated[v] * scale for v in net.vertices}
+    return {v: d * scale for v, d in zip(net.vertices, path_sums(net).dependency)}
 
 
 def degree_centralization(degrees: Iterable[int]) -> float:
@@ -220,19 +233,12 @@ def closeness_centralization(net: OneModeNetwork) -> float:
     Uses closeness normalized within that subnetwork, (n'-1)/sum-of-
     distances; returns 0.0 when the subnetwork has fewer than 3 vertices.
     """
-    components = weak_components(net)
-    if not components:
-        return 0.0
-    largest = max(components, key=len)
+    largest = max(weak_components(net), key=len, default=[])
     np = len(largest)
     if np < 3:
         return 0.0
-    closeness: list[float] = []
-    inside = set(largest)
-    for v in largest:
-        dist = geodesic_distances(net, v)
-        total = sum(d for u, d in dist.items() if u in inside and u != v)
-        closeness.append((np - 1) / total)
+    distance_sum = path_sums(net).distance_sum
+    closeness = [(np - 1) / distance_sum[net.index(v)] for v in largest]
     best = max(closeness)
     return fsum(best - c for c in closeness) * (2 * np - 3) / ((np - 1) * (np - 2))
 
@@ -284,23 +290,19 @@ def vertex_metrics(
     ]
 
 
-def network_aggregates(net: OneModeNetwork) -> NetworkAggregates:
-    """All network-level figures in one pass; zeros on degenerate sizes."""
-    n = net.n
-    m = net.edge_count
-    degrees = net.degrees()
-    if n:
-        mean, median, sd = degree_stats(degrees)
-    else:
-        mean = median = sd = 0.0
-    if n >= 3:
-        deg_central = degree_centralization(degrees)
-        betw_central = betweenness_centralization(
-            betweenness_centrality(net).values()
-        )
-    else:
-        deg_central = 0.0
-        betw_central = 0.0
+def degree_census_aggregates(degrees: Sequence[int]) -> NetworkAggregates:
+    """Aggregates derivable from a degree census alone.
+
+    Distance-based figures need the line structure and are left ``None``,
+    as is degree centralization below 3 vertices.  An odd degree total
+    cannot come from an undirected network and is rejected.
+    """
+    n = len(degrees)
+    total = sum(degrees)
+    if total % 2:
+        raise ValueError(f"degree total {total} is odd; not an undirected network")
+    m = total // 2
+    mean, median, sd = degree_stats(degrees) if n else (0.0, 0.0, 0.0)
     return NetworkAggregates(
         n=n,
         m=m,
@@ -309,9 +311,29 @@ def network_aggregates(net: OneModeNetwork) -> NetworkAggregates:
         mean_degree=mean,
         median_degree=median,
         sd_degree_population=sd,
-        degree_centralization=deg_central,
-        betweenness_centralization=betw_central,
+        degree_centralization=degree_centralization(degrees) if n >= 3 else None,
+        betweenness_centralization=None,
+        closeness_centralization=None,
+        component_count=None,
+        isolate_count=degrees.count(0),
+    )
+
+
+def network_aggregates(net: OneModeNetwork) -> NetworkAggregates:
+    """The census figures of ``net``'s degrees plus the distance-based
+    ones; centralizations read 0.0 below 3 vertices."""
+    census = degree_census_aggregates(net.degrees())
+    if net.n < 3:
+        degree_central = betweenness_central = 0.0
+    else:
+        degree_central = census.degree_centralization
+        betweenness_central = betweenness_centralization(
+            betweenness_centrality(net).values()
+        )
+    return replace(
+        census,
+        degree_centralization=degree_central,
+        betweenness_centralization=betweenness_central,
         closeness_centralization=closeness_centralization(net),
         component_count=len(weak_components(net)),
-        isolate_count=degrees.count(0),
     )

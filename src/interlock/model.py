@@ -179,6 +179,21 @@ def affiliation_stats(net: TwoModeNetwork) -> AffiliationStats:
     )
 
 
+@dataclass(eq=False)
+class GraphView:
+    """Integer snapshot of a :class:`OneModeNetwork`'s line structure.
+
+    Vertex ``i`` is the network's ``i``-th vertex and ``adjacency[i]`` lists
+    its neighbours' indices in ascending order.  A view is never modified
+    after construction; the network builds a fresh one after it changes,
+    so :func:`interlock.metrics.path_sums` caches its sweep on the view.
+    """
+
+    vertices: tuple[str, ...]
+    adjacency: tuple[list[int], ...]
+    path_sums: object = None
+
+
 class OneModeNetwork:
     """Undirected valued graph; every line value is a positive integer.
 
@@ -196,6 +211,7 @@ class OneModeNetwork:
         self._index: dict[str, int] = {}
         self._labels: dict[str, str] = {}
         self._adj: dict[str, dict[str, int]] = {}
+        self._view: GraphView | None = None
         for v in vertices:
             self.add_vertex(v)
         if labels:
@@ -209,6 +225,7 @@ class OneModeNetwork:
         self._index[vid] = len(self._order)
         self._order.append(vid)
         self._adj[vid] = {}
+        self._view = None
         if label is not None:
             self._labels[vid] = label
         return vid
@@ -226,6 +243,7 @@ class OneModeNetwork:
             raise ValueError(f"duplicate edge {u!r} - {v!r}")
         self._adj[u][v] = value
         self._adj[v][u] = value
+        self._view = None
 
     def set_label(self, vertex: str, label: str) -> None:
         if vertex not in self._index:
@@ -268,13 +286,22 @@ class OneModeNetwork:
         """Degree of every vertex, in vertex order."""
         return [len(self._adj[v]) for v in self._order]
 
+    def frozen(self) -> GraphView:
+        """The integer view of the current graph, built on first use and
+        kept until the next ``add_vertex`` or ``add_edge``."""
+        if self._view is None:
+            index = self._index
+            self._view = GraphView(
+                tuple(self._order),
+                tuple(sorted(map(index.__getitem__, self._adj[v])) for v in self._order),
+            )
+        return self._view
+
     def neighbors(self, vertex: str) -> tuple[str, ...]:
         """Adjacent vertices in vertex order (the deterministic traversal order)."""
-        try:
-            nbrs = self._adj[vertex]
-        except KeyError:
-            raise ValueError(f"unknown vertex: {vertex!r}") from None
-        return tuple(sorted(nbrs, key=self._index.__getitem__))
+        view = self.frozen()
+        order = view.vertices
+        return tuple([order[j] for j in view.adjacency[self.index(vertex)]])
 
     def value(self, u: str, v: str) -> int:
         """Line value between two vertices; 0 when no line exists."""
@@ -285,10 +312,12 @@ class OneModeNetwork:
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
         """Yield (u, v, value) once per line, u before v in vertex order."""
-        for u in self._order:
-            iu = self._index[u]
-            for v in sorted(self._adj[u], key=self._index.__getitem__):
-                if self._index[v] > iu:
+        view = self.frozen()
+        order = view.vertices
+        for i, nbrs in enumerate(view.adjacency):
+            for j in nbrs:
+                if j > i:
+                    u, v = order[i], order[j]
                     yield u, v, self._adj[u][v]
 
     def validate(self) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import fsum
 
 from .cohesion import (
     LineMultiplicityDistribution,
@@ -21,13 +20,11 @@ from .metrics import (
     DegreeDistribution,
     NetworkAggregates,
     VertexMetrics,
-    degree_centralization,
     degree_distribution,
-    degree_stats,
     network_aggregates,
     vertex_metrics,
 )
-from .model import DENSITY_LOOPS, DENSITY_NO_LOOPS, OneModeNetwork, pair_density
+from .model import DENSITY_NO_LOOPS, OneModeNetwork
 
 SCHEMA_VERSION = "1"
 
@@ -95,9 +92,8 @@ def aggregates_to_dict(agg: NetworkAggregates) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    vertices = []
-    for pos, vm in enumerate(report.vertices, start=1):
-        entry = {
+    vertices = [
+        {
             "index": pos,
             "id": vm.vertex,
             "label": vm.label,
@@ -111,9 +107,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "betweenness": vm.betweenness_rank,
             },
         }
-        if vm.extra:
-            entry["extra"] = dict(vm.extra)
-        vertices.append(entry)
+        for pos, vm in enumerate(report.vertices, start=1)
+    ]
     return {
         "schema": report.schema,
         "options": {
@@ -151,39 +146,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def report_to_json(report: AnalysisReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
-
-
-def degree_census_aggregates(degrees: list[int]) -> dict:
-    """Aggregates derivable from a degree census alone.
-
-    Distance-based figures need the line structure and are reported as
-    null.  An odd degree total cannot come from an undirected network and
-    is rejected.
-    """
-    n = len(degrees)
-    total = sum(degrees)
-    if total % 2:
-        raise ValueError(f"degree total {total} is odd; not an undirected network")
-    m = total // 2
-    if n:
-        mean, median, sd = degree_stats(degrees)
-    else:
-        mean = median = sd = 0.0
-    return {
-        "n": n,
-        "m": m,
-        "densityNoLoops": pair_density(n, m, DENSITY_NO_LOOPS),
-        "densityLoopsAllowed": pair_density(n, m, DENSITY_LOOPS),
-        "densityNote": DENSITY_NOTE,
-        "meanDegree": mean,
-        "medianDegree": median,
-        "sdDegreePopulation": sd,
-        "degreeCentralization": degree_centralization(degrees) if n >= 3 else None,
-        "betweennessCentralization": None,
-        "closenessCentralization": None,
-        "componentCount": None,
-        "isolateCount": degrees.count(0),
-    }
 
 
 def _format_cell(value) -> str:
@@ -253,29 +215,3 @@ def render_table(report: AnalysisReport, which: str) -> str:
             [list(row) for row in report.line_multiplicity.rows],
         )
     raise ValueError(f"unknown table kind: {which!r}; expected one of {TABLE_KINDS}")
-
-
-def rederive_aggregates(report: AnalysisReport) -> dict:
-    """Recompute the degree-derivable aggregate figures from the per-vertex
-    list; used to check report self-consistency."""
-    degrees = [vm.degree for vm in report.vertices]
-    n = len(degrees)
-    total = sum(degrees)
-    m = total // 2
-    mean, median, sd = degree_stats(degrees) if n else (0.0, 0.0, 0.0)
-    betweenness = [vm.betweenness for vm in report.vertices]
-    best = max(betweenness) if betweenness else 0.0
-    return {
-        "n": n,
-        "m": m,
-        "densityNoLoops": pair_density(n, m, DENSITY_NO_LOOPS),
-        "densityLoopsAllowed": pair_density(n, m, DENSITY_LOOPS),
-        "meanDegree": mean,
-        "medianDegree": median,
-        "sdDegreePopulation": sd,
-        "degreeCentralization": degree_centralization(degrees) if n >= 3 else 0.0,
-        "betweennessCentralization": (
-            fsum(best - b for b in betweenness) / (n - 1) if n >= 3 else 0.0
-        ),
-        "isolateCount": degrees.count(0),
-    }

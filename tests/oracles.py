@@ -11,8 +11,17 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations
+from math import fsum
 
-from interlock import OneModeNetwork, TwoModeNetwork
+from interlock import (
+    DENSITY_LOOPS,
+    DENSITY_NO_LOOPS,
+    OneModeNetwork,
+    TwoModeNetwork,
+    degree_centralization,
+    degree_stats,
+    pair_density,
+)
 
 
 def simple_paths(net: OneModeNetwork, source: str, target: str):
@@ -175,3 +184,29 @@ def random_two_mode(
             if rng.random() < p:
                 net.add_affiliation(f"E{e}", f"a{a}")
     return net
+
+
+def rederive_aggregates(report) -> dict:
+    """Recompute the degree-derivable aggregate figures of an
+    ``AnalysisReport`` from its per-vertex list, in report key names."""
+    degrees = [vm.degree for vm in report.vertices]
+    n = len(degrees)
+    total = sum(degrees)
+    m = total // 2
+    mean, median, sd = degree_stats(degrees) if n else (0.0, 0.0, 0.0)
+    betweenness = [vm.betweenness for vm in report.vertices]
+    best = max(betweenness) if betweenness else 0.0
+    return {
+        "n": n,
+        "m": m,
+        "densityNoLoops": pair_density(n, m, DENSITY_NO_LOOPS),
+        "densityLoopsAllowed": pair_density(n, m, DENSITY_LOOPS),
+        "meanDegree": mean,
+        "medianDegree": median,
+        "sdDegreePopulation": sd,
+        "degreeCentralization": degree_centralization(degrees) if n >= 3 else 0.0,
+        "betweennessCentralization": (
+            fsum(best - b for b in betweenness) / (n - 1) if n >= 3 else 0.0
+        ),
+        "isolateCount": degrees.count(0),
+    }

@@ -38,6 +38,7 @@ from interlock import (
     write_net_one_mode,
 )
 from interlock.data import TABLE2_DEGREES, load_text
+from interlock.report import aggregates_to_dict
 
 # transcribed published tables for the 61-journal board network
 DEGREE_DIST_ROWS = [
@@ -117,7 +118,7 @@ def test_criterion_2_degree_distribution_reproduction():
 
 def test_criterion_3_density_arithmetic():
     degrees = fixture_degrees()
-    aggregates = degree_census_aggregates(degrees)
+    aggregates = aggregates_to_dict(degree_census_aggregates(degrees))
     failures = []
     if abs(aggregates["densityLoopsAllowed"] - 0.0871) > 0.0005:
         failures.append(f"loops-allowed {aggregates['densityLoopsAllowed']}")

@@ -19,12 +19,14 @@ from interlock import (
     degree_centralization,
     degree_distribution,
     degree_stats,
+    build_report,
     density,
-    geodesic_distances,
     network_aggregates,
     rank_competition,
     vertex_metrics,
 )
+from interlock import metrics
+from interlock.metrics import path_sums
 
 
 def path_graph(names: str) -> OneModeNetwork:
@@ -110,30 +112,60 @@ class TestDensity:
 
 
 class TestGeodesicDistances:
+    """Reach counts and distance sums from the shortest-path sweep."""
+
     def test_path(self):
-        assert geodesic_distances(path_graph("abc"), "a") == {"a": 0, "b": 1, "c": 2}
+        sums = path_sums(path_graph("abc"))
+        assert (sums.reach, sums.distance_sum) == ([2, 2, 2], [3, 2, 3])
 
     def test_unreachable_marked_none(self):
         net = OneModeNetwork(["a", "b", "c"])
         net.add_edge("a", "b", 1)
-        assert geodesic_distances(net, "a") == {"a": 0, "b": 1, "c": None}
+        sums = path_sums(net)
+        assert (sums.reach, sums.distance_sum) == ([1, 1, 0], [1, 1, 0])
 
     def test_unknown_source(self):
         with pytest.raises(ValueError):
-            geodesic_distances(OneModeNetwork(["a"]), "zz")
+            closeness_centrality(OneModeNetwork(["a"]), "zz")
 
     def test_matches_path_enumeration_oracle(self):
         rng = random.Random(555)
         for _ in range(60):
             net = random_one_mode(rng, max_n=7)
-            for v in net.vertices:
-                assert geodesic_distances(net, v) == brute_distances(net, v)
+            sums = path_sums(net)
+            for i, v in enumerate(net.vertices):
+                dist = brute_distances(net, v)
+                reached = [d for u, d in dist.items() if u != v and d is not None]
+                assert sums.reach[i] == len(reached)
+                assert sums.distance_sum[i] == sum(reached)
 
     def test_values_do_not_affect_distances(self):
         heavy = OneModeNetwork(["a", "b", "c"])
         heavy.add_edge("a", "b", 9)
         heavy.add_edge("b", "c", 1)
-        assert geodesic_distances(heavy, "a")["c"] == 2
+        assert path_sums(heavy).distance_sum[0] == 1 + 2
+
+    def test_edit_after_a_metric_call_is_seen(self):
+        net = path_graph("abcd")
+        assert betweenness_centrality(net)["a"] == 0.0
+        net.add_edge("d", "a", 1)
+        assert betweenness_centrality(net)["a"] == pytest.approx(1 / 6)
+        net.add_vertex("e")
+        net.add_edge("a", "e", 1)
+        assert betweenness_centrality(net)["a"] == pytest.approx(7 / 12)
+
+    def test_one_report_sweeps_once(self, monkeypatch):
+        calls = []
+        sweep = metrics._sweep
+
+        def counted(view):
+            calls.append(view)
+            return sweep(view)
+
+        monkeypatch.setattr(metrics, "_sweep", counted)
+        net = random_one_mode(random.Random(5), min_n=6, max_n=6)
+        build_report(net, slice_thresholds=(2, 3), closeness_variant="component")
+        assert len(calls) == 1
 
 
 class TestCloseness:

@@ -147,6 +147,22 @@ class TestOneModeNetwork:
         net.add_edge("C", "B", 4)
         assert list(net.edges()) == [("C", "B", 4), ("A", "B", 1)]
 
+    def test_integer_view_is_sorted_and_cached_until_changed(self):
+        net = OneModeNetwork(["C", "A", "B"])
+        net.add_edge("B", "C", 1)
+        net.add_edge("B", "A", 1)
+        view = net.frozen()
+        assert view.vertices == ("C", "A", "B")
+        assert view.adjacency == ([2], [2], [0, 1])
+        assert net.frozen() is view
+        assert net.neighbors("B") == ("C", "A")
+        net.add_vertex("D")
+        assert net.frozen() is not view
+        net.add_edge("D", "B", 2)
+        assert net.neighbors("B") == ("C", "A", "D")
+        with pytest.raises(ValueError):
+            net.neighbors("Z")
+
     def test_value_and_degree(self):
         net = OneModeNetwork(["A", "B", "C"])
         net.add_edge("A", "B", 5)

@@ -3,6 +3,8 @@ import shutil
 
 import pytest
 
+from oracles import rederive_aggregates
+
 from interlock import (
     build_report,
     parse_csv_affiliations,
@@ -13,7 +15,6 @@ from interlock import (
 )
 from interlock.cli import run_analyze
 from interlock.data import TABLE2_DEGREES, TOY_BOARDS, data_path, load_text
-from interlock.report import rederive_aggregates
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +165,19 @@ class TestCli:
         status = run_analyze(["--input", "missing.csv"])
         assert status == 2
         assert "no such input" in capsys.readouterr().err
+
+    def test_undecodable_input_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"actor,event\n\xff\xfe,J1\n")
+        assert run_analyze(["--input", str(bad)]) == 2
+        assert f"cannot read {bad}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--export-net", "--export-csv", "--export-dot"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
+        target = tmp_path / "missing" / "out.txt"
+        status = run_analyze(["--input", str(data_path(TOY_BOARDS)), flag, str(target)])
+        assert status == 2
+        assert f"cannot write {target}: " in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run_analyze(["--input", "x.csv", "--frobnicate"]) == 2
