@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .io import (
     FormatError,
@@ -101,20 +102,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; a failure is reported on stderr."""
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+def _emit(
+    json_text: str,
+    out: str | None,
+    exports: Sequence[tuple[str, str]] = (),
+    tables: str = "",
+) -> bool:
+    """Write the JSON report (to ``out``, else stdout), the rendered exports
+    and the tables (to stdout); all or nothing.
 
-
-def _emit(json_text: str, out: str | None) -> bool:
-    if out:
-        return _write(out, json_text)
-    sys.stdout.write(json_text)
+    Every output is rendered before this is called.  When a write fails,
+    the failure is reported on stderr, the files this call already wrote
+    are removed again and nothing goes to stdout.
+    """
+    files = [(out, json_text), *exports] if out else list(exports)
+    written: list[Path] = []
+    for path, text in files:
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write {path}: {exc}", file=sys.stderr)
+            for done in written:
+                done.unlink(missing_ok=True)
+            return False
+        written.append(Path(path))
+    sys.stdout.write(tables if out else json_text + tables)
     return True
 
 
@@ -162,9 +174,9 @@ def run_analyze(argv: list[str] | None = None) -> int:
 
     net = project_events(two_mode)
 
+    tables = ""
     if args.stats_only:
-        if not _emit(_stats_json(network_aggregates(net)), args.out):
-            return 2
+        json_text = _stats_json(network_aggregates(net))
     else:
         report = build_report(
             net,
@@ -172,21 +184,23 @@ def run_analyze(argv: list[str] | None = None) -> int:
             closeness_variant=args.closeness_variant,
             component_density_variant=args.density_variant,
         )
-        if not _emit(report_to_json(report), args.out):
-            return 2
+        json_text = report_to_json(report)
         if args.tables:
-            for kind in TABLE_KINDS:
-                sys.stdout.write(render_table(report, kind))
-                sys.stdout.write("\n")
+            tables = "".join(render_table(report, kind) + "\n" for kind in TABLE_KINDS)
 
+    exports: list[tuple[str, str]] = []
     for target, render in (
         (args.export_net, write_net_one_mode),
         (args.export_csv, write_edge_list_csv),
         (args.export_dot, write_dot),
     ):
-        if target and not _write(target, render(net)):
-            return 2
-    return 0
+        if target:
+            try:
+                exports.append((target, render(net)))
+            except ValueError as exc:  # a label the format cannot carry
+                print(f"cannot export {target}: {exc}", file=sys.stderr)
+                return 1
+    return 0 if _emit(json_text, args.out, exports, tables) else 2
 
 
 def _run_degree_census(args: argparse.Namespace, text: str) -> int:

@@ -100,22 +100,26 @@ def component_summary(
     component: Iterable[str],
     density_variant: str = DENSITY_NO_LOOPS,
 ) -> ComponentSummary:
-    """Size, induced line count, and induced density of a vertex subset."""
-    members: list[str] = []
-    inside: set[str] = set()
+    """Size, induced line count, and induced density of a vertex subset.
+
+    Lines are counted over the members' own rows of the integer view, where
+    each induced line appears twice, so summarizing every component of a
+    slice reads each line a constant number of times.
+    """
+    inside: set[int] = set()
     for v in component:
         if not net.has_vertex(v):
             raise ValueError(f"vertex outside network: {v!r}")
-        if v not in inside:
-            inside.add(v)
-            members.append(v)
-    members.sort(key=net.index)
-    edge_count = sum(1 for u, v, _ in net.edges() if u in inside and v in inside)
+        inside.add(net.index(v))
+    order = sorted(inside)
+    view = net.frozen()
+    adjacency = view.adjacency
+    edge_count = sum(j in inside for i in order for j in adjacency[i]) // 2
     return ComponentSummary(
-        members=members,
-        size=len(members),
+        members=[view.vertices[i] for i in order],
+        size=len(order),
         edge_count=edge_count,
-        density=pair_density(len(members), edge_count, density_variant),
+        density=pair_density(len(order), edge_count, density_variant),
     )
 
 

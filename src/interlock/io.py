@@ -41,6 +41,21 @@ class ParseDiagnostics:
         self.warnings.append((line, message))
 
 
+def _csv_rows(text: str):
+    """Yield ``(line_number, row)`` for every row with a non-blank cell.
+
+    A record the csv module rejects (a field over its size limit, say)
+    becomes a :class:`FormatError` at the line where it ends.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(reader.line_num, str(exc)) from None
+
+
 def parse_csv_affiliations(
     text: str, *, casefold_actors: bool = False
 ) -> tuple[TwoModeNetwork, ParseDiagnostics]:
@@ -52,12 +67,8 @@ def parse_csv_affiliations(
     """
     diags = ParseDiagnostics()
     net = TwoModeNetwork(casefold_actors=casefold_actors)
-    reader = csv.reader(io.StringIO(text, newline=""))
     header: dict[str, int] | None = None
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line, row in _csv_rows(text):
         if header is None:
             names = [cell.strip().lower() for cell in row]
             if sorted(names) != ["actor", "event"]:
@@ -102,40 +113,43 @@ def _iter_lines(text: str):
 
 
 def _parse_vertex_defs(
-    lines: list[tuple[int, str]], n: int
-) -> dict[int, str]:
-    """Parse ``index "label"`` vertex lines; trailing tokens are ignored."""
-    labels: dict[int, str] = {}
+    head_no: int, lines: list[tuple[int, str]], n: int
+) -> tuple[dict[int, str], dict[int, int]]:
+    """Name and source line of vertices 1..n from ``index "label"`` lines;
+    trailing tokens are ignored.  An undefined index is named by its number
+    and located at the ``*Vertices`` line (``head_no``)."""
+    names = {i: str(i) for i in range(1, n + 1)}
+    where = dict.fromkeys(names, head_no)
     for no, line in lines:
         m = _VERTEX_LINE.match(line)
         if m:
             idx, label = int(m.group(1)), m.group(2)
         else:
             parts = line.split()
-            if len(parts) < 2 or not parts[0].isdigit():
+            if len(parts) < 2 or not parts[0].isdecimal():
                 raise FormatError(no, f"malformed vertex line: {line!r}")
             idx, label = int(parts[0]), parts[1]
         if not 1 <= idx <= n:
             raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
-        if idx in labels:
+        if where[idx] != head_no:  # definitions come after the header line
             raise FormatError(no, f"vertex {idx} defined twice")
-        labels[idx] = label
-    return labels
+        names[idx], where[idx] = label, no
+    return names, where
 
 
 def _split_sections(text: str, expect_counts: int):
-    """Return (vertex header ints, vertex lines, edge lines)."""
+    """Return (``*Vertices`` line number, its ints, vertex lines, edge lines)."""
     stream = list(_iter_lines(text))
     if not stream:
         raise FormatError(1, "empty file; expected *Vertices")
-    no, line = stream[0]
+    head_no, line = stream[0]
     head = line.split()
     if _section(head[0]) != "vertices":
-        raise FormatError(no, f"expected *Vertices, got {line!r}")
+        raise FormatError(head_no, f"expected *Vertices, got {line!r}")
     counts = head[1:]
-    if len(counts) != expect_counts or not all(c.isdigit() for c in counts):
+    if len(counts) != expect_counts or not all(c.isdecimal() for c in counts):
         want = "<n> <nEvents>" if expect_counts == 2 else "<n>"
-        raise FormatError(no, f"expected *Vertices {want}, got {line!r}")
+        raise FormatError(head_no, f"expected *Vertices {want}, got {line!r}")
     vertex_lines: list[tuple[int, str]] = []
     edge_lines: list[tuple[int, str]] = []
     bucket = vertex_lines
@@ -147,7 +161,7 @@ def _split_sections(text: str, expect_counts: int):
                 continue
             raise FormatError(no, f"unexpected section {line!r}")
         bucket.append((no, line))
-    return [int(c) for c in counts], vertex_lines, edge_lines
+    return head_no, [int(c) for c in counts], vertex_lines, edge_lines
 
 
 def parse_net_two_mode(
@@ -162,30 +176,32 @@ def parse_net_two_mode(
     affiliation are dropped with a warning.
     """
     diags = ParseDiagnostics()
-    (n, n_events), vertex_lines, edge_lines = _split_sections(text, 2)
+    head_no, (n, n_events), vertex_lines, edge_lines = _split_sections(text, 2)
     if n_events > n:
-        raise FormatError(1, f"event count {n_events} exceeds vertex count {n}")
-    labels = _parse_vertex_defs(vertex_lines, n)
-    names = {i: labels.get(i, str(i)) for i in range(1, n + 1)}
+        raise FormatError(head_no, f"event count {n_events} exceeds vertex count {n}")
+    names, def_lines = _parse_vertex_defs(head_no, vertex_lines, n)
 
     net = TwoModeNetwork(casefold_actors=casefold_actors)
     seen_events: set[str] = set()
     for i in range(1, n_events + 1):
         if names[i] in seen_events:
-            raise FormatError(1, f"duplicate event label {names[i]!r}")
+            raise FormatError(def_lines[i], f"duplicate event label {names[i]!r}")
         seen_events.add(names[i])
-        net.add_event(names[i], names[i])
+        try:
+            net.add_event(names[i], names[i])
+        except ValueError as exc:
+            raise FormatError(def_lines[i], str(exc)) from None
     seen_actors: set[str] = set()
     for i in range(n_events + 1, n + 1):
         if names[i] in seen_actors:
-            raise FormatError(1, f"duplicate actor label {names[i]!r}")
+            raise FormatError(def_lines[i], f"duplicate actor label {names[i]!r}")
         seen_actors.add(names[i])
 
     linked_actors: set[int] = set()
     for no, line in edge_lines:
         parts = line.split()
         if len(parts) not in (2, 3) or not all(
-            p.lstrip("-").isdigit() for p in parts[:2]
+            p.removeprefix("-").isdecimal() for p in parts[:2]
         ):
             raise FormatError(no, f"malformed edge line: {line!r}")
         i, j = int(parts[0]), int(parts[1])
@@ -210,7 +226,9 @@ def parse_net_two_mode(
 
     for idx in range(n_events + 1, n + 1):
         if idx not in linked_actors:
-            diags.warn(0, f"actor vertex {names[idx]!r} has no affiliation; dropped")
+            diags.warn(
+                def_lines[idx], f"actor vertex {names[idx]!r} has no affiliation; dropped"
+            )
     return net, diags
 
 
@@ -221,19 +239,18 @@ def parse_net_one_mode(text: str) -> OneModeNetwork:
     are ``i j value`` with a positive integer value; self-loops and repeated
     pairs are rejected.
     """
-    (n,), vertex_lines, edge_lines = _split_sections(text, 1)
-    labels = _parse_vertex_defs(vertex_lines, n)
-    names = {i: labels.get(i, str(i)) for i in range(1, n + 1)}
+    head_no, (n,), vertex_lines, edge_lines = _split_sections(text, 1)
+    names, def_lines = _parse_vertex_defs(head_no, vertex_lines, n)
 
     net = OneModeNetwork()
     for i in range(1, n + 1):
         try:
             net.add_vertex(names[i], names[i])
         except ValueError as exc:
-            raise FormatError(1, str(exc)) from None
+            raise FormatError(def_lines[i], str(exc)) from None
     for no, line in edge_lines:
         parts = line.split()
-        if len(parts) != 3 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
             raise FormatError(no, f"malformed edge line: {line!r}")
         i, j, value = (int(p) for p in parts)
         for idx in (i, j):
@@ -248,7 +265,9 @@ def parse_net_one_mode(text: str) -> OneModeNetwork:
 
 
 def _net_quote(label: str) -> str:
-    if '"' in label or "\n" in label:
+    # NET lines are split as str.splitlines splits them, so a label may hold
+    # none of its line breaks, nor a quote.
+    if '"' in label or label.splitlines() != [label]:
         raise ValueError(f"label not representable in NET output: {label!r}")
     return f'"{label}"'
 
@@ -302,30 +321,23 @@ def write_dot(net: OneModeNetwork) -> str:
 
 def csv_kind(text: str) -> str:
     """Classify a CSV head as ``affiliations`` or ``degrees`` by its header."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line, row in _csv_rows(text):
         names = [cell.strip().lower() for cell in row]
         if sorted(names) == ["actor", "event"]:
             return "affiliations"
         if "degree" in names:
             return "degrees"
-        raise FormatError(reader.line_num, f"unrecognized header: {row!r}")
+        raise FormatError(line, f"unrecognized header: {row!r}")
     raise FormatError(1, "missing header row")
 
 
 def parse_degree_list_csv(text: str) -> tuple[list[int], ParseDiagnostics]:
     """Read a per-vertex degree census (any header containing ``degree``)."""
     diags = ParseDiagnostics()
-    reader = csv.reader(io.StringIO(text, newline=""))
     col: int | None = None
     width = 0
     degrees: list[int] = []
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line, row in _csv_rows(text):
         if col is None:
             names = [cell.strip().lower() for cell in row]
             if "degree" not in names:
@@ -336,7 +348,7 @@ def parse_degree_list_csv(text: str) -> tuple[list[int], ParseDiagnostics]:
         if len(row) != width:
             raise FormatError(line, f"expected {width} fields, got {len(row)}")
         cell = row[col].strip()
-        if not cell.isdigit():
+        if not cell.isdecimal():
             raise FormatError(line, f"degree must be a non-negative integer, got {cell!r}")
         degrees.append(int(cell))
         diags.records_read += 1

@@ -245,15 +245,17 @@ def closeness_centralization(net: OneModeNetwork) -> float:
 
 def rank_competition(values: Sequence[float], *, descending: bool = True) -> list[int]:
     """Competition ("1224") ranks: ties share the best rank and each rank is
-    one more than the count of strictly better values."""
-    ranks: list[int] = []
-    for v in values:
-        if descending:
-            better = sum(1 for u in values if u > v)
-        else:
-            better = sum(1 for u in values if u < v)
-        ranks.append(better + 1)
-    return ranks
+    one more than the count of strictly better values.
+
+    One sort: a value's rank is the 1-based position of its first
+    occurrence in best-first order, as every strictly better value sorts
+    before it.  Values that compare equal (``0.0`` and ``-0.0`` included)
+    share one dictionary key and so one rank.
+    """
+    first: dict[float, int] = {}
+    for pos, v in enumerate(sorted(values, reverse=descending), start=1):
+        first.setdefault(v, pos)
+    return [first[v] for v in values]
 
 
 def vertex_metrics(

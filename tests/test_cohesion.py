@@ -154,6 +154,20 @@ class TestComponentSummary:
         summary = component_summary(net, ["a", "b"])
         assert summary.edge_count == 1
 
+    def test_edge_count_matches_brute_count_on_arbitrary_subsets(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            net = random_one_mode(rng, max_n=12)
+            picked = [rng.choice(net.vertices) for _ in range(rng.randint(0, 2 * net.n))]
+            rng.shuffle(picked)
+            summary = component_summary(net, picked)
+            inside = set(picked)
+            assert summary.members == [v for v in net.vertices if v in inside]
+            assert summary.size == len(inside)
+            assert summary.edge_count == sum(
+                1 for u, v, _ in net.edges() if u in inside and v in inside
+            )
+
     def test_loops_variant(self):
         net = valued_net([("a", "b", 1)])
         summary = component_summary(net, ["a", "b"], "loops")

@@ -53,6 +53,18 @@ class TestParseCsvAffiliations:
             parse_csv_affiliations("actor,event\n  ,J1\n")
         assert err.value.line == 2
 
+    def test_oversized_field_carries_line_number(self):
+        big = "J" * 200_000
+        cases = (
+            (parse_csv_affiliations, f"actor,event\na,J1\nb,{big}\n", 3),
+            (parse_degree_list_csv, f"id,degree\na,1\nb,{big}\n", 3),
+            (csv_kind, f"actor,{big}\n", 1),
+        )
+        for parse, text, line in cases:
+            with pytest.raises(FormatError) as err:
+                parse(text)
+            assert err.value.line == line
+
     def test_quoted_fields_with_commas(self):
         text = 'actor,event\n"Smith, Ann","Library Collections, Acquisitions"\n'
         net, _ = parse_csv_affiliations(text)
@@ -112,6 +124,33 @@ class TestParseNetTwoMode:
         assert net.actors == ("a",)
         assert any("no affiliation" in msg for _, msg in diags.warnings)
 
+    def test_blank_event_label_carries_line_number(self):
+        with pytest.raises(FormatError) as err:
+            parse_net_two_mode('*Vertices 3 1\n1 "   "\n2 "a"\n3 "b"\n*Edges\n1 2\n')
+        assert err.value.line == 2
+
+    def test_dropped_actor_warning_carries_its_line(self):
+        text = '% boards\n*Vertices 4 1\n1 "J1"\n2 "a"\n3 "b"\n*Edges\n1 2\n'
+        _, diags = parse_net_two_mode(text)
+        # "b" is defined on line 5; vertex 4 has no line of its own
+        assert diags.warnings == [
+            (5, "actor vertex 'b' has no affiliation; dropped"),
+            (2, "actor vertex '4' has no affiliation; dropped"),
+        ]
+
+    def test_numbers_int_cannot_read_are_rejected(self):
+        for text in (
+            "*Vertices \u00b2 1\n",
+            '*Vertices 2 1\n\u00b2 "J1"\n',
+            '*Vertices 2 1\n1 "J1"\n2 "a"\n*Edges\n1 --2\n',
+            '*Vertices 2 1\n1 "J1"\n2 "a"\n*Edges\n1 \u00b2\n',
+        ):
+            with pytest.raises(FormatError):
+                parse_net_two_mode(text)
+        with pytest.raises(FormatError) as err:
+            parse_degree_list_csv("degree\n3\n\u00b2\n")
+        assert err.value.line == 3
+
     def test_missing_vertex_header(self):
         with pytest.raises(FormatError):
             parse_net_two_mode("*Edges\n1 2\n")
@@ -153,10 +192,12 @@ class TestWriteNetOneMode:
         assert "1 \"A\"" in text
 
     def test_quote_in_label_rejected(self):
-        net = OneModeNetwork(["A"])
-        net.set_label("A", 'The "A" Journal')
-        with pytest.raises(ValueError):
-            write_net_one_mode(net)
+        # a line break of any kind would split the vertex line on reading
+        for label in ('The "A" Journal', "A\nB", "A\x0bB", "A\u2028B", "A\r"):
+            net = OneModeNetwork(["A"])
+            net.set_label("A", label)
+            with pytest.raises(ValueError):
+                write_net_one_mode(net)
 
 
 class TestRoundTrip:

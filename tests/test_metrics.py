@@ -310,9 +310,13 @@ class TestRankCompetition:
         rng = random.Random(4)
         for _ in range(50):
             values = [rng.randint(0, 5) for _ in range(rng.randint(1, 12))]
-            ranks = rank_competition([float(v) for v in values])
-            for value, rank in zip(values, ranks):
-                assert rank == 1 + sum(1 for u in values if u > value)
+            signed = [rng.choice([0.0, -0.0, 0.5, -0.5, 1e-300, 2.25]) for _ in values]
+            for seq in (values, [float(v) for v in values], signed):
+                for descending in (True, False):
+                    ranks = rank_competition(seq, descending=descending)
+                    for value, rank in zip(seq, ranks):
+                        better = (u > value if descending else u < value for u in seq)
+                        assert rank == 1 + sum(better)
 
 
 class TestVertexMetricsAndAggregates:

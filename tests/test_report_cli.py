@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import rederive_aggregates
 
@@ -179,14 +185,42 @@ class TestCli:
         assert status == 2
         assert f"cannot write {target}: " in capsys.readouterr().err
 
+    def test_unrepresentable_label_writes_nothing(self, tmp_path, capsys):
+        boards = tmp_path / "q.csv"
+        boards.write_text('actor,event\na,"J ""1"""\n', encoding="utf-8")
+        out = tmp_path / "q.json"
+        status = run_analyze(
+            ["--input", str(boards), "--out", str(out), "--export-net", str(tmp_path / "q.net")]
+        )
+        err = capsys.readouterr().err
+        assert status == 1
+        assert "'J \"1\"'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv"]
+
+    def test_failed_write_removes_earlier_outputs(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        target = tmp_path / "missing" / "x.net"
+        status = run_analyze(
+            ["--input", str(data_path(TOY_BOARDS)), "--out", str(out), "--export-net", str(target)]
+        )
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
     def test_unknown_flag_exits_2(self, capsys):
         assert run_analyze(["--input", "x.csv", "--frobnicate"]) == 2
 
     def test_parse_failure_exits_1_with_line_number(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("actor,event\nonly-one-field\n", encoding="utf-8")
-        assert run_analyze(["--input", str(bad)]) == 1
-        assert ":2:" in capsys.readouterr().err
+        for name, text in (
+            ("bad.csv", "actor,event\nonly-one-field\n"),
+            ("blank.net", '*Vertices 3 1\n1 "   "\n2 "a"\n3 "b"\n*Edges\n1 2\n'),
+        ):
+            bad = tmp_path / name
+            bad.write_text(text, encoding="utf-8")
+            assert run_analyze(["--input", str(bad)]) == 1
+            assert capsys.readouterr().err.startswith(f"{bad}:2: ")
 
     def test_stats_only_on_degree_census(self, tmp_path, capsys):
         status = run_analyze(
@@ -313,3 +347,108 @@ class TestCli:
 
     def test_slice_flag_rejects_zero(self, capsys):
         assert run_analyze(["--input", "x.csv", "--slice", "0"]) == 2
+
+
+# Inputs shaped like the two formats, in which any token may be swapped for
+# a malformed one.  A swap is rare enough that most files get far into the
+# pipeline before the odd token matters.  Vertex counts stay small, so a
+# declared count never costs much.  Raw bytes cover the rest.
+_ODD_NUMBERS = st.sampled_from(["--1", "\u00b2", "\u0663", "+1", "1.5", "-1", "0", "9", "x", ""])
+_ODD_LABELS = st.one_of(
+    st.sampled_from(['"   "', '""', '"', '"v1"', '"x" y', "\u00e9", "*Edges"]), st.text(max_size=3)
+)
+_ODD_CELLS = st.one_of(
+    st.sampled_from(['"J ""1"""', '"x\ny"', '"J\u2028"']),  # no NET label can hold these
+    st.sampled_from(['"', " ", "", "\u00b2", "J1,J2"]),
+    st.text(max_size=4),
+)
+
+
+def _slot(draw, valid, odd):
+    """``valid`` about nine times in ten, else a draw from ``odd``."""
+    return draw(odd) if draw(st.integers(0, 9)) == 9 else valid
+
+
+@st.composite
+def _net_files(draw):
+    n = draw(st.integers(2, 5))
+    events = draw(st.integers(1, n - 1))
+
+    def num(k):
+        return _slot(draw, str(k), _ODD_NUMBERS)
+
+    head = _slot(draw, "*Vertices", st.sampled_from(["*vertices", "*Edges", "%", "*Vertices 2"]))
+    lines = [f"{head} {num(n)} {num(events)}"]
+    for i in range(1, n + 1):
+        if draw(st.booleans()):
+            label = _slot(draw, f'"v{i}"', _ODD_LABELS)
+            lines.append(f"{num(i)} {label}")
+    lines.append(_slot(draw, "*Edges", st.sampled_from(["*Arcs", "*edges", "", "*Vertices 2"])))
+    for _ in range(draw(st.integers(0, 6))):
+        event = draw(st.integers(1, events))
+        actor = draw(st.integers(events + 1, n))
+        value = [num(draw(st.integers(1, 3)))] if draw(st.booleans()) else []
+        lines.append(" ".join([num(event), num(actor), *value]))
+    return "\n".join(lines)
+
+
+@st.composite
+def _csv_files(draw):
+    header = _slot(
+        draw, "actor,event", st.sampled_from(["Event, Actor", "id,degree", "degree", "x,y", ""])
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        actor = _slot(draw, draw(st.sampled_from(["a", "b", "A", "e\u0301", "\u00e9"])), _ODD_CELLS)
+        event = _slot(draw, draw(st.sampled_from(["J1", "J2", "J3"])), _ODD_CELLS)
+        rows.append(f"{actor},{event}")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header, *rows]) + newline
+
+
+# (file bytes, (file suffix, --format value)); shaped text is mostly read
+# as its own format
+_READS = st.tuples(st.sampled_from([".csv", ".net", ".txt"]), st.sampled_from([None, "csv", "net"]))
+_INPUTS = st.one_of(
+    st.tuples(_net_files().map(str.encode), st.sampled_from([(".net", None), (".txt", "net")])),
+    st.tuples(_csv_files().map(str.encode), st.sampled_from([(".csv", None), (".net", "csv")])),
+    st.tuples(st.one_of(_net_files(), _csv_files()).map(str.encode), _READS),
+    st.tuples(st.binary(max_size=200), _READS),
+    st.tuples(st.binary(max_size=60).map(lambda b: b"actor,event\n" + b), _READS),
+)
+_OUTPUT_FLAGS = ("--out", "--export-net", "--export-csv", "--export-dot")
+_FLAG_SETS = st.fixed_dictionaries(
+    {
+        "slices": st.lists(st.sampled_from([1, 2, 3]), max_size=2),
+        "switches": st.sets(st.sampled_from(["--tables", "--stats-only", "--normalize-names"])),
+        "outputs": st.lists(st.booleans(), min_size=4, max_size=4).map(
+            lambda picks: [f for f, on in zip(_OUTPUT_FLAGS, picks) if on]
+        ),
+    }
+)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(source_file=_INPUTS, flags=_FLAG_SETS)
+def test_cli_contract_holds_for_arbitrary_input(source_file, flags):
+    """Any input and flag mix ends in exit 0, 1 or 2 with no traceback, and
+    writes every requested output on success and none on failure."""
+    data, (suffix, fmt) = source_file
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / f"input{suffix}"
+        source.write_bytes(data)
+        argv = ["--input", str(source), *sorted(flags["switches"])]
+        if fmt:
+            argv += ["--format", fmt]
+        for m in flags["slices"]:
+            argv += ["--slice", str(m)]
+        outputs = [Path(tmp) / f"out{flag}" for flag in flags["outputs"]]
+        for flag, target in zip(flags["outputs"], outputs):
+            argv += [flag, str(target)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = run_analyze(argv)
+        assert status in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        written = [target.exists() for target in outputs]
+        assert all(written) if status == 0 else not any(written)
