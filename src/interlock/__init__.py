@@ -48,10 +48,8 @@ from .metrics import (
 from .model import (
     DENSITY_LOOPS,
     DENSITY_NO_LOOPS,
-    AffiliationStats,
     OneModeNetwork,
     TwoModeNetwork,
-    affiliation_stats,
     normalize_identifier,
     pair_density,
 )
@@ -67,7 +65,6 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffiliationStats",
     "AnalysisReport",
     "BipartitenessError",
     "ComponentSummary",
@@ -82,7 +79,6 @@ __all__ = [
     "SliceDecomposition",
     "TwoModeNetwork",
     "VertexMetrics",
-    "affiliation_stats",
     "betweenness_centrality",
     "betweenness_centralization",
     "build_report",

@@ -130,6 +130,15 @@ def _emit(
     return True
 
 
+def _write_warnings(source: str, warnings: Sequence[tuple[int, str]]) -> None:
+    """Parse warnings to stderr as ``SOURCE:LINE: warning: MESSAGE`` lines,
+    in one write."""
+    if warnings:
+        sys.stderr.write(
+            "".join(f"{source}:{line}: warning: {message}\n" for line, message in warnings)
+        )
+
+
 def _stats_json(aggregates: NetworkAggregates) -> str:
     payload = {"schema": SCHEMA_VERSION, "aggregates": aggregates_to_dict(aggregates)}
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
@@ -169,9 +178,7 @@ def run_analyze(argv: list[str] | None = None) -> int:
         print(f"{args.input}:{exc.line}: {exc.reason}", file=sys.stderr)
         return 1
 
-    for line, message in diags.warnings:
-        print(f"{args.input}:{line}: warning: {message}", file=sys.stderr)
-
+    _write_warnings(args.input, diags.warnings)
     net = project_events(two_mode)
 
     tables = ""
@@ -230,8 +237,7 @@ def _run_degree_census(args: argparse.Namespace, text: str) -> int:
     except FormatError as exc:
         print(f"{args.input}:{exc.line}: {exc.reason}", file=sys.stderr)
         return 1
-    for line, message in diags.warnings:
-        print(f"{args.input}:{line}: warning: {message}", file=sys.stderr)
+    _write_warnings(args.input, diags.warnings)
     try:
         aggregates = degree_census_aggregates(degrees)
     except ValueError as exc:

@@ -50,7 +50,7 @@ def _csv_rows(text: str):
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         for row in reader:
-            if any(cell.strip() for cell in row):
+            if "".join(row).strip():
                 yield reader.line_num, row
     except csv.Error as exc:
         raise FormatError(reader.line_num, str(exc)) from None
@@ -67,30 +67,29 @@ def parse_csv_affiliations(
     """
     diags = ParseDiagnostics()
     net = TwoModeNetwork(casefold_actors=casefold_actors)
-    header: dict[str, int] | None = None
-    for line, row in _csv_rows(text):
-        if header is None:
-            names = [cell.strip().lower() for cell in row]
-            if sorted(names) != ["actor", "event"]:
-                raise FormatError(
-                    line, f"expected header with columns actor,event; got {row!r}"
-                )
-            header = {name: i for i, name in enumerate(names)}
-            continue
+    rows = _csv_rows(text)
+    first = next(rows, None)
+    if first is None:
+        raise FormatError(1, "missing header row")
+    line, row = first
+    names = [cell.strip().lower() for cell in row]
+    if sorted(names) != ["actor", "event"]:
+        raise FormatError(line, f"expected header with columns actor,event; got {row!r}")
+    event_col, actor_col = names.index("event"), names.index("actor")
+    add, warn = net.add_affiliation, diags.warnings.append
+    records = duplicates = 0
+    for line, row in rows:
         if len(row) != 2:
             raise FormatError(line, f"expected 2 fields, got {len(row)}")
-        diags.records_read += 1
+        records += 1
         try:
-            added = net.add_affiliation(
-                row[header["event"]], row[header["actor"]]
-            )
+            added = add(row[event_col], row[actor_col])
         except ValueError as exc:
             raise FormatError(line, str(exc)) from None
         if not added:
-            diags.duplicates_collapsed += 1
-            diags.warn(line, f"duplicate membership collapsed: {row!r}")
-    if header is None:
-        raise FormatError(1, "missing header row")
+            duplicates += 1
+            warn((line, f"duplicate membership collapsed: {row!r}"))
+    diags.records_read, diags.duplicates_collapsed = records, duplicates
     return net, diags
 
 
@@ -184,13 +183,13 @@ def parse_net_two_mode(
     net = TwoModeNetwork(casefold_actors=casefold_actors)
     seen_events: set[str] = set()
     for i in range(1, n_events + 1):
-        if names[i] in seen_events:
-            raise FormatError(def_lines[i], f"duplicate event label {names[i]!r}")
-        seen_events.add(names[i])
         try:
-            net.add_event(names[i], names[i])
+            eid = net.add_event(names[i], names[i])
         except ValueError as exc:
             raise FormatError(def_lines[i], str(exc)) from None
+        if eid in seen_events:  # two labels that trim and normalize alike
+            raise FormatError(def_lines[i], f"duplicate event label {names[i]!r}")
+        seen_events.add(eid)
     seen_actors: set[str] = set()
     for i in range(n_events + 1, n + 1):
         if names[i] in seen_actors:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 DENSITY_NO_LOOPS = "no-loops"
 DENSITY_LOOPS = "loops"
@@ -45,17 +45,6 @@ def pair_density(n: int, m: int, variant: str) -> float:
     raise ValueError(f"unknown density variant: {variant!r}")
 
 
-@dataclass(frozen=True)
-class AffiliationStats:
-    """Seat bookkeeping for a two-mode network."""
-
-    seats: int
-    actors: int
-    events: int
-    mean_seats_per_event: float
-    mean_participation_rate: float
-
-
 class TwoModeNetwork:
     """Affiliation structure: events (boards) holding sets of actors.
 
@@ -68,17 +57,23 @@ class TwoModeNetwork:
     def __init__(self, *, casefold_actors: bool = False) -> None:
         self.casefold_actors = casefold_actors
         self._events: list[str] = []
+        self._event_ids: dict[str, str] = {}  # raw token -> normalized id
         self._event_labels: dict[str, str] = {}
         self._members: dict[str, set[str]] = {}
         self._actors: list[str] = []
         self._actor_events: dict[str, set[str]] = {}
 
     def add_event(self, event: str, label: str | None = None) -> str:
-        """Register an event; an empty board is fine.  Returns the stored id."""
-        eid = normalize_identifier(event)
-        if eid not in self._members:
-            self._events.append(eid)
-            self._members[eid] = set()
+        """Register an event; an empty board is fine.  Returns the stored id.
+
+        A raw token is normalized only the first time it is seen.
+        """
+        eid = self._event_ids.get(event)
+        if eid is None:
+            eid = self._event_ids[event] = normalize_identifier(event)
+            if eid not in self._members:
+                self._events.append(eid)
+                self._members[eid] = set()
         if label is not None:
             self._event_labels[eid] = label
         return eid
@@ -89,14 +84,15 @@ class TwoModeNetwork:
         Unknown events and actors are created on first sight, in encounter
         order.  Returns ``True`` when a new seat was recorded.
         """
-        eid = self.add_event(event)
+        eid = self._event_ids.get(event) or self.add_event(event)
         aid = normalize_identifier(actor, casefold=self.casefold_actors)
-        if aid not in self._actor_events:
+        held = self._actor_events.get(aid)
+        if held is None:
             self._actors.append(aid)
-            self._actor_events[aid] = set()
-        if eid in self._actor_events[aid]:
+            held = self._actor_events[aid] = set()
+        elif eid in held:
             return False
-        self._actor_events[aid].add(eid)
+        held.add(eid)
         self._members[eid].add(aid)
         return True
 
@@ -130,22 +126,14 @@ class TwoModeNetwork:
             raise ValueError(f"unknown event: {event!r}")
         return self._event_labels.get(event, event)
 
+    def seat_sets(self) -> tuple[Iterable[AbstractSet[str]], Iterable[AbstractSet[str]]]:
+        """Every board (event order) and every actor's events (actor order)
+        as stored, not copied; read-only."""
+        return self._members.values(), self._actor_events.values()
+
     def seats(self) -> int:
         """Total board seats (memberships counted once per event/actor pair)."""
         return sum(len(board) for board in self._members.values())
-
-    def validate(self) -> None:
-        """Cross-check the event-side and actor-side membership indexes."""
-        for eid, board in self._members.items():
-            for aid in board:
-                if eid not in self._actor_events.get(aid, ()):
-                    raise ValueError(f"membership {eid!r}/{aid!r} missing on actor side")
-        for aid, evs in self._actor_events.items():
-            if not evs:
-                raise ValueError(f"actor {aid!r} holds no seat")
-            for eid in evs:
-                if aid not in self._members.get(eid, ()):
-                    raise ValueError(f"membership {eid!r}/{aid!r} missing on event side")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwoModeNetwork):
@@ -163,20 +151,6 @@ class TwoModeNetwork:
             f"TwoModeNetwork(events={len(self._events)}, "
             f"actors={len(self._actors)}, seats={self.seats()})"
         )
-
-
-def affiliation_stats(net: TwoModeNetwork) -> AffiliationStats:
-    """Seat counts and participation averages; zeros on an empty network."""
-    seats = net.seats()
-    n_actors = len(net.actors)
-    n_events = len(net.events)
-    return AffiliationStats(
-        seats=seats,
-        actors=n_actors,
-        events=n_events,
-        mean_seats_per_event=seats / n_events if n_events else 0.0,
-        mean_participation_rate=seats / n_actors if n_actors else 0.0,
-    )
 
 
 @dataclass(eq=False)

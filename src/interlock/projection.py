@@ -8,6 +8,7 @@ sharing nobody end up as isolates.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .model import OneModeNetwork, TwoModeNetwork
@@ -17,14 +18,14 @@ def _project(vertices, labels, groups) -> OneModeNetwork:
     net = OneModeNetwork()
     for v in vertices:
         net.add_vertex(v, labels(v))
-    counts: dict[tuple[str, str], int] = {}
+    position = {v: i for i, v in enumerate(vertices)}
+    counts: Counter[tuple[int, int]] = Counter()
     for group in groups:
-        for a, b in combinations(sorted(group, key=net.index), 2):
-            counts[a, b] = counts.get((a, b), 0) + 1
-    for (a, b), value in sorted(
-        counts.items(), key=lambda kv: (net.index(kv[0][0]), net.index(kv[0][1]))
-    ):
-        net.add_edge(a, b, value)
+        if len(group) > 1:
+            counts.update(combinations(sorted(map(position.__getitem__, group)), 2))
+    order = net.vertices
+    for (i, j), value in sorted(counts.items()):
+        net.add_edge(order[i], order[j], value)
     net.validate()
     return net
 
@@ -35,17 +36,11 @@ def project_events(net: TwoModeNetwork) -> OneModeNetwork:
     Vertices keep event ingestion order, so downstream reports are
     deterministic.
     """
-    return _project(
-        net.events,
-        net.event_label,
-        (net.events_of(actor) for actor in net.actors),
-    )
+    _, holdings = net.seat_sets()
+    return _project(net.events, net.event_label, holdings)
 
 
 def project_actors(net: TwoModeNetwork) -> OneModeNetwork:
     """Network of actors; a line's value counts the boards both sit on."""
-    return _project(
-        net.actors,
-        lambda a: a,
-        (net.members(event) for event in net.events),
-    )
+    boards, _ = net.seat_sets()
+    return _project(net.actors, lambda a: a, boards)

@@ -2,20 +2,25 @@
 
 Everything here deliberately avoids the library's own traversal code:
 distances come from exhaustive simple-path enumeration, components from
-transitive closure, projections from pairwise set intersection.  Slow on
-purpose, trustworthy on purpose.
+transitive closure, projections from pairwise set intersection, membership
+CSV from a plain per-row loop.  Slow on purpose, trustworthy on purpose.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
+import unicodedata
 from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import fsum
 
 from interlock import (
     DENSITY_LOOPS,
     DENSITY_NO_LOOPS,
+    FormatError,
     OneModeNetwork,
     TwoModeNetwork,
     degree_centralization,
@@ -210,3 +215,87 @@ def rederive_aggregates(report) -> dict:
         ),
         "isolateCount": degrees.count(0),
     }
+
+
+def validate_two_mode(net: TwoModeNetwork) -> None:
+    """Cross-check the event-side and actor-side membership indexes."""
+    for eid, board in net._members.items():
+        for aid in board:
+            if eid not in net._actor_events.get(aid, ()):
+                raise ValueError(f"membership {eid!r}/{aid!r} missing on actor side")
+    for aid, evs in net._actor_events.items():
+        if not evs:
+            raise ValueError(f"actor {aid!r} holds no seat")
+        for eid in evs:
+            if aid not in net._members.get(eid, ()):
+                raise ValueError(f"membership {eid!r}/{aid!r} missing on event side")
+
+
+@dataclass
+class ReferenceIngest:
+    """What a membership CSV holds, as :func:`reference_parse_csv_affiliations`
+    reads it: ids in first-seen order, distinct seats in first-seen order."""
+
+    events: list[str] = field(default_factory=list)
+    actors: list[str] = field(default_factory=list)
+    seats: list[tuple[str, str]] = field(default_factory=list)
+    warnings: list[tuple[int, str]] = field(default_factory=list)
+    records_read: int = 0
+    duplicates_collapsed: int = 0
+
+    def network(self, casefold_actors: bool = False) -> TwoModeNetwork:
+        net = TwoModeNetwork(casefold_actors=casefold_actors)
+        for event in self.events:
+            net.add_event(event)
+        for event, actor in self.seats:
+            net.add_affiliation(event, actor)
+        return net
+
+
+def _reference_id(raw: str, casefold: bool) -> str:
+    token = unicodedata.normalize("NFC", raw.strip())
+    return token.casefold() if casefold else token
+
+
+def reference_parse_csv_affiliations(
+    text: str, *, casefold_actors: bool = False
+) -> ReferenceIngest:
+    """Per-row reference for ``parse_csv_affiliations``.
+
+    Every cell is normalized from scratch on every row and every seat is
+    looked up in a plain list.  Rejections raise ``FormatError`` with the
+    library's line numbers and messages.
+    """
+    out = ReferenceIngest()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = None
+    for row in reader:
+        line = reader.line_num  # the row's last physical line
+        if all(not cell.strip() for cell in row):
+            continue
+        if header is None:
+            header = [cell.strip().lower() for cell in row]
+            if sorted(header) != ["actor", "event"]:
+                raise FormatError(
+                    line, f"expected header with columns actor,event; got {row!r}"
+                )
+            continue
+        if len(row) != 2:
+            raise FormatError(line, f"expected 2 fields, got {len(row)}")
+        out.records_read += 1
+        event = _reference_id(row[header.index("event")], False)
+        actor = _reference_id(row[header.index("actor")], casefold_actors)
+        if not event or not actor:
+            raise FormatError(line, "identifier is empty after trimming")
+        if (event, actor) in out.seats:
+            out.duplicates_collapsed += 1
+            out.warnings.append((line, f"duplicate membership collapsed: {row!r}"))
+            continue
+        if event not in out.events:
+            out.events.append(event)
+        if actor not in out.actors:
+            out.actors.append(actor)
+        out.seats.append((event, actor))
+    if header is None:
+        raise FormatError(1, "missing header row")
+    return out

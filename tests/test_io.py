@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_project_events, reference_parse_csv_affiliations, validate_two_mode
 
 from interlock import (
     BipartitenessError,
@@ -8,6 +12,7 @@ from interlock import (
     parse_degree_list_csv,
     parse_net_one_mode,
     parse_net_two_mode,
+    project_events,
     write_dot,
     write_edge_list_csv,
     write_net_one_mode,
@@ -170,6 +175,14 @@ class TestParseNetTwoMode:
         with pytest.raises(FormatError):
             parse_net_two_mode('*Vertices 3 2\n1 "J1"\n2 "J1"\n3 "a"\n*Edges\n')
 
+    def test_event_labels_that_normalize_alike_are_duplicates(self):
+        # " J" and "J" name one journal once trimmed, so the second
+        # definition is the duplicate, at its own vertex line
+        text = '*Vertices 4 2\n1 " J"\n2 "J"\n3 "a"\n4 "b"\n*Edges\n1 3\n2 4\n'
+        with pytest.raises(FormatError) as err:
+            parse_net_two_mode(text)
+        assert (err.value.line, err.value.reason) == (3, "duplicate event label 'J'")
+
     def test_same_label_across_namespaces_allowed(self):
         net, _ = parse_net_two_mode('*Vertices 2 1\n1 "X"\n2 "X"\n*Edges\n1 2\n')
         assert net.events == ("X",)
@@ -280,3 +293,77 @@ class TestParseDegreeListCsv:
     def test_rejects_missing_column(self):
         with pytest.raises(FormatError):
             parse_degree_list_csv("journal,count\nA,3\n")
+
+
+# Membership CSV cells: case, space and Unicode-composition variants of a
+# few names, and fields that need quoting (a comma, a line break, a quote).
+_ACTOR_CELLS = ["Ann", "ann", " ANN ", "e\u0301", "\u00e9", "Smith, J", "O\"Neil", "two\nlines"]
+_EVENT_CELLS = ["J1", " J1", "j1", "J 2", "J\n3", "Lib, Sci"]
+_BLANK_ROWS = ["", "   ", ",", " , ", '""']
+_ODD_ROWS = [["  ", "J1"], ["Ann", ""], ["a"], ["a", "J1", "x"]]  # each one is rejected
+
+
+def _csv_cell(text: str, quote: bool) -> str:
+    if quote or any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def _membership_csv(draw):
+    """Membership CSV text: either column order, blank rows anywhere,
+    repeated seats, multi-line quoted fields, and now and then a missing
+    header or a row with an empty identifier or the wrong field count."""
+    actor_first = draw(st.booleans())
+    header = draw(st.sampled_from([("actor", "event"), (" Actor", "EVENT "), ("ACTOR", "Event")]))
+    rows = [list(header)]
+    if draw(st.integers(0, 19)) == 0:
+        rows.pop()  # no header: the first data row is rejected as one
+    pool = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_ACTOR_CELLS), st.sampled_from(_EVENT_CELLS)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.integers(0, 39))
+        if kind < 6:
+            rows.append(draw(st.sampled_from(_BLANK_ROWS)))
+        elif kind == 6:
+            rows.append(draw(st.sampled_from(_ODD_ROWS)))
+        else:
+            rows.append(list(draw(st.sampled_from(pool))))
+    lines = []
+    for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+        else:
+            row = row if actor_first or len(row) != 2 else row[::-1]
+            lines.append(",".join(_csv_cell(cell, draw(st.booleans())) for cell in row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_membership_csv(), casefold=st.booleans())
+def test_csv_ingest_matches_per_row_reference(text, casefold):
+    try:
+        want = reference_parse_csv_affiliations(text, casefold_actors=casefold)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as err:
+            parse_csv_affiliations(text, casefold_actors=casefold)
+        assert (err.value.line, err.value.reason) == (exc.line, exc.reason)
+        return
+    net, diags = parse_csv_affiliations(text, casefold_actors=casefold)
+    assert net.events == tuple(want.events)
+    assert net.actors == tuple(want.actors)
+    assert net == want.network(casefold)
+    assert net.seats() == len(want.seats)
+    validate_two_mode(net)
+    assert diags.warnings == want.warnings
+    assert diags.records_read == want.records_read
+    assert diags.duplicates_collapsed == want.duplicates_collapsed
+    projected = project_events(net)
+    assert projected.vertices == net.events
+    assert {(u, v): value for u, v, value in projected.edges()} == brute_project_events(net)

@@ -1,9 +1,10 @@
 import pytest
 
+from oracles import validate_two_mode
+
 from interlock import (
     OneModeNetwork,
     TwoModeNetwork,
-    affiliation_stats,
     normalize_identifier,
     pair_density,
 )
@@ -73,7 +74,7 @@ class TestAddAffiliation:
         for actor in net.actors:
             for event in net.events_of(actor):
                 assert actor in net.members(event)
-        net.validate()
+        validate_two_mode(net)
 
     def test_seats_counted_from_either_side(self):
         net = TwoModeNetwork()
@@ -93,19 +94,15 @@ class TestAddAffiliation:
 
 class TestAffiliationStats:
     def test_empty_network(self):
-        stats = affiliation_stats(TwoModeNetwork())
-        assert stats == type(stats)(0, 0, 0, 0.0, 0.0)
+        net = TwoModeNetwork()
+        assert (net.seats(), len(net.actors), len(net.events)) == (0, 0, 0)
 
     def test_two_boards(self):
         net = TwoModeNetwork()
         for event, actor in [("J1", "a"), ("J1", "b"), ("J2", "b")]:
             net.add_affiliation(event, actor)
-        stats = affiliation_stats(net)
-        assert stats.seats == 3
-        assert stats.actors == 2
-        assert stats.events == 2
-        assert stats.mean_seats_per_event == pytest.approx(1.5)
-        assert stats.mean_participation_rate == pytest.approx(1.5)
+        assert (net.seats(), len(net.actors), len(net.events)) == (3, 2, 2)
+        validate_two_mode(net)
 
     def test_census_scale_averages(self):
         # 2003 seats over 61 boards held by 1752 people: mean board size
@@ -115,12 +112,10 @@ class TestAffiliationStats:
             net.add_affiliation(f"J{i % 61}", f"a{i}")
         for i in range(251):
             net.add_affiliation(f"J{(i + 1) % 61}", f"a{i}")
-        stats = affiliation_stats(net)
-        assert stats.seats == 2003
-        assert stats.actors == 1752
-        assert stats.events == 61
-        assert stats.mean_seats_per_event == pytest.approx(32.8, abs=0.05)
-        assert stats.mean_participation_rate == pytest.approx(1.14, abs=0.005)
+        assert (net.seats(), len(net.actors), len(net.events)) == (2003, 1752, 61)
+        assert net.seats() / len(net.events) == pytest.approx(32.8, abs=0.05)
+        assert net.seats() / len(net.actors) == pytest.approx(1.14, abs=0.005)
+        validate_two_mode(net)
 
 
 class TestOneModeNetwork:

@@ -323,6 +323,52 @@ class TestCli:
         assert run_analyze(["--input", str(boards)]) == 0
         assert "warning" in capsys.readouterr().err
 
+    def test_warning_stream_is_one_line_per_duplicate_in_row_order(self, tmp_path, capsys):
+        rows = [
+            "actor,event",
+            "Ann,J1",
+            'Bo,"Journal',  # a field over two lines: the row ends on line 4
+            'of Tests"',
+            "Ann,J1",
+            '"Bo","Journal',
+            'of Tests"',
+            "",
+            "Cy,J2",
+            " ANN ,J1",  # the same seat once --normalize-names folds the case
+            "Ann,J1",
+            '"Cy","J2"',
+        ]
+        boards = tmp_path / "boards.csv"
+        boards.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        distinct = tmp_path / "distinct.csv"
+        distinct.write_text("\n".join(rows[:4] + rows[8:9]) + "\n", encoding="utf-8")
+        argv = ["--normalize-names", "--slice", "1", "--tables"]
+
+        assert run_analyze(["--input", str(boards), *argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == "".join(
+            f"{boards}:{line}: warning: duplicate membership collapsed: {row}\n"
+            for line, row in (
+                (5, "['Ann', 'J1']"),
+                (7, "['Bo', 'Journal\\nof Tests']"),
+                (10, "[' ANN ', 'J1']"),
+                (11, "['Ann', 'J1']"),
+                (12, "['Cy', 'J2']"),
+            )
+        )
+        assert run_analyze(["--input", str(distinct), *argv]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_net_event_labels_normalizing_alike_exit_1(self, tmp_path, capsys):
+        boards = tmp_path / "boards.net"
+        boards.write_text(
+            '*Vertices 4 2\n1 " J"\n2 "J"\n3 "a"\n4 "b"\n*Edges\n1 3\n2 4\n',
+            encoding="utf-8",
+        )
+        assert run_analyze(["--input", str(boards), "--stats-only"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{boards}:3: duplicate event label 'J'\n")
+
     def test_format_flag_overrides_extension(self, tmp_path, capsys):
         renamed = tmp_path / "boards.data"
         shutil.copy(data_path(TOY_BOARDS), renamed)
