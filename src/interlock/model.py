@@ -13,7 +13,6 @@ from typing import AbstractSet, Iterable, Iterator, Mapping
 
 DENSITY_NO_LOOPS = "no-loops"
 DENSITY_LOOPS = "loops"
-DENSITY_VARIANTS = (DENSITY_NO_LOOPS, DENSITY_LOOPS)
 
 
 def normalize_identifier(raw: str, *, casefold: bool = False) -> str:
@@ -21,12 +20,14 @@ def normalize_identifier(raw: str, *, casefold: bool = False) -> str:
 
     Surrounding whitespace is trimmed and the text is put into Unicode NFC
     form so visually identical spellings compare equal.  With ``casefold``
-    the token is additionally case-folded (used for actor-name merging).
+    the token is additionally case-folded (used for actor-name merging) and
+    put into NFC again, since folding can decompose a character (``ǰ``);
+    either way the result normalizes to itself.
     Raises ``ValueError`` if nothing is left after trimming.
     """
     token = unicodedata.normalize("NFC", raw.strip())
     if casefold:
-        token = token.casefold()
+        token = unicodedata.normalize("NFC", token.casefold())
     if not token:
         raise ValueError("identifier is empty after trimming")
     return token
@@ -56,11 +57,10 @@ class TwoModeNetwork:
 
     def __init__(self, *, casefold_actors: bool = False) -> None:
         self.casefold_actors = casefold_actors
-        self._events: list[str] = []
         self._event_ids: dict[str, str] = {}  # raw token -> normalized id
         self._event_labels: dict[str, str] = {}
+        # board of each event / events of each actor, in encounter order
         self._members: dict[str, set[str]] = {}
-        self._actors: list[str] = []
         self._actor_events: dict[str, set[str]] = {}
 
     def add_event(self, event: str, label: str | None = None) -> str:
@@ -72,7 +72,6 @@ class TwoModeNetwork:
         if eid is None:
             eid = self._event_ids[event] = normalize_identifier(event)
             if eid not in self._members:
-                self._events.append(eid)
                 self._members[eid] = set()
         if label is not None:
             self._event_labels[eid] = label
@@ -88,7 +87,6 @@ class TwoModeNetwork:
         aid = normalize_identifier(actor, casefold=self.casefold_actors)
         held = self._actor_events.get(aid)
         if held is None:
-            self._actors.append(aid)
             held = self._actor_events[aid] = set()
         elif eid in held:
             return False
@@ -98,14 +96,11 @@ class TwoModeNetwork:
 
     @property
     def events(self) -> tuple[str, ...]:
-        return tuple(self._events)
+        return tuple(self._members)
 
     @property
     def actors(self) -> tuple[str, ...]:
-        return tuple(self._actors)
-
-    def has_event(self, event: str) -> bool:
-        return event in self._members
+        return tuple(self._actor_events)
 
     def members(self, event: str) -> frozenset[str]:
         """Board of ``event`` as a frozen set of actor ids."""
@@ -139,17 +134,17 @@ class TwoModeNetwork:
         if not isinstance(other, TwoModeNetwork):
             return NotImplemented
         return (
-            self._events == other._events
-            and self._actors == other._actors
+            self.events == other.events
+            and self.actors == other.actors
             and self._members == other._members
-            and {e: self.event_label(e) for e in self._events}
-            == {e: other.event_label(e) for e in other._events}
+            and {e: self.event_label(e) for e in self._members}
+            == {e: other.event_label(e) for e in other._members}
         )
 
     def __repr__(self) -> str:
         return (
-            f"TwoModeNetwork(events={len(self._events)}, "
-            f"actors={len(self._actors)}, seats={self.seats()})"
+            f"TwoModeNetwork(events={len(self._members)}, "
+            f"actors={len(self._actor_events)}, seats={self.seats()})"
         )
 
 
@@ -181,10 +176,10 @@ class OneModeNetwork:
         vertices: Iterable[str] = (),
         labels: Mapping[str, str] | None = None,
     ) -> None:
-        self._order: list[str] = []
-        self._index: dict[str, int] = {}
+        self._index: dict[str, int] = {}  # id -> position, in vertex order
         self._labels: dict[str, str] = {}
-        self._adj: dict[str, dict[str, int]] = {}
+        # row i maps each neighbour's position to the line's value
+        self._rows: list[dict[int, int]] = []
         self._view: GraphView | None = None
         for v in vertices:
             self.add_vertex(v)
@@ -196,9 +191,8 @@ class OneModeNetwork:
         vid = normalize_identifier(vertex)
         if vid in self._index:
             raise ValueError(f"duplicate vertex: {vid!r}")
-        self._index[vid] = len(self._order)
-        self._order.append(vid)
-        self._adj[vid] = {}
+        self._index[vid] = len(self._rows)
+        self._rows.append({})
         self._view = None
         if label is not None:
             self._labels[vid] = label
@@ -206,17 +200,15 @@ class OneModeNetwork:
 
     def add_edge(self, u: str, v: str, value: int) -> None:
         """Attach an undirected line of the given positive integer value."""
-        for x in (u, v):
-            if x not in self._index:
-                raise ValueError(f"unknown vertex: {x!r}")
-        if u == v:
+        i, j = self.index(u), self.index(v)
+        if i == j:
             raise ValueError(f"self-loop rejected on {u!r}")
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"edge value must be a positive integer, got {value!r}")
-        if v in self._adj[u]:
+        if j in self._rows[i]:
             raise ValueError(f"duplicate edge {u!r} - {v!r}")
-        self._adj[u][v] = value
-        self._adj[v][u] = value
+        self._rows[i][j] = value
+        self._rows[j][i] = value
         self._view = None
 
     def set_label(self, vertex: str, label: str) -> None:
@@ -226,15 +218,15 @@ class OneModeNetwork:
 
     @property
     def n(self) -> int:
-        return len(self._order)
+        return len(self._rows)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._rows)) // 2
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        return tuple(self._order)
+        return tuple(self._index)
 
     def has_vertex(self, vertex: str) -> bool:
         return vertex in self._index
@@ -251,24 +243,17 @@ class OneModeNetwork:
         return self._labels.get(vertex, vertex)
 
     def degree(self, vertex: str) -> int:
-        try:
-            return len(self._adj[vertex])
-        except KeyError:
-            raise ValueError(f"unknown vertex: {vertex!r}") from None
+        return len(self._rows[self.index(vertex)])
 
     def degrees(self) -> list[int]:
         """Degree of every vertex, in vertex order."""
-        return [len(self._adj[v]) for v in self._order]
+        return list(map(len, self._rows))
 
     def frozen(self) -> GraphView:
         """The integer view of the current graph, built on first use and
         kept until the next ``add_vertex`` or ``add_edge``."""
         if self._view is None:
-            index = self._index
-            self._view = GraphView(
-                tuple(self._order),
-                tuple(sorted(map(index.__getitem__, self._adj[v])) for v in self._order),
-            )
+            self._view = GraphView(tuple(self._index), tuple(map(sorted, self._rows)))
         return self._view
 
     def neighbors(self, vertex: str) -> tuple[str, ...]:
@@ -279,45 +264,45 @@ class OneModeNetwork:
 
     def value(self, u: str, v: str) -> int:
         """Line value between two vertices; 0 when no line exists."""
-        for x in (u, v):
-            if x not in self._index:
-                raise ValueError(f"unknown vertex: {x!r}")
-        return self._adj[u].get(v, 0)
+        i, j = self.index(u), self.index(v)
+        return self._rows[i].get(j, 0)
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
         """Yield (u, v, value) once per line, u before v in vertex order."""
         view = self.frozen()
         order = view.vertices
-        for i, nbrs in enumerate(view.adjacency):
+        for i, (nbrs, row) in enumerate(zip(view.adjacency, self._rows)):
             for j in nbrs:
                 if j > i:
-                    u, v = order[i], order[j]
-                    yield u, v, self._adj[u][v]
+                    yield order[i], order[j], row[j]
 
     def validate(self) -> None:
         """Check symmetry, positive values, absence of loops, and the
         handshake identity (degree sum equals twice the line count)."""
+        order = self.vertices
         seen_pairs = set()
-        for u, nbrs in self._adj.items():
-            for v, value in nbrs.items():
-                if u == v:
+        for i, row in enumerate(self._rows):
+            u = order[i]
+            for j, value in row.items():
+                v = order[j]
+                if i == j:
                     raise ValueError(f"self-loop on {u!r}")
                 if value < 1:
                     raise ValueError(f"non-positive value on {u!r} - {v!r}")
-                if self._adj[v].get(u) != value:
+                if self._rows[j].get(i) != value:
                     raise ValueError(f"asymmetric line {u!r} - {v!r}")
-                seen_pairs.add(frozenset((u, v)))
+                seen_pairs.add(frozenset((i, j)))
         if sum(self.degrees()) != 2 * len(seen_pairs):
             raise ValueError("handshake identity violated")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OneModeNetwork):
             return NotImplemented
+        order = self.vertices
         return (
-            self._order == other._order
-            and [self.label(v) for v in self._order]
-            == [other.label(v) for v in other._order]
-            and self._adj == other._adj
+            order == other.vertices
+            and [self.label(v) for v in order] == [other.label(v) for v in order]
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:

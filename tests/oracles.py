@@ -254,7 +254,7 @@ class ReferenceIngest:
 
 def _reference_id(raw: str, casefold: bool) -> str:
     token = unicodedata.normalize("NFC", raw.strip())
-    return token.casefold() if casefold else token
+    return unicodedata.normalize("NFC", token.casefold()) if casefold else token
 
 
 def reference_parse_csv_affiliations(
@@ -299,3 +299,43 @@ def reference_parse_csv_affiliations(
     if header is None:
         raise FormatError(1, "missing header row")
     return out
+
+
+class PlainNetwork:
+    """Reference for ``OneModeNetwork``: ids in a list, lines in a dict from
+    the unordered id pair to its value.  Rejections raise ``ValueError``
+    with the library's messages, checked in the library's order."""
+
+    def __init__(self) -> None:
+        self.vertices: list[str] = []
+        self.labels: dict[str, str] = {}
+        self.lines: dict[frozenset, int] = {}
+
+    def add_vertex(self, raw: str, label: str | None = None) -> str:
+        vid = unicodedata.normalize("NFC", raw.strip())
+        if not vid:
+            raise ValueError("identifier is empty after trimming")
+        if vid in self.vertices:
+            raise ValueError(f"duplicate vertex: {vid!r}")
+        self.vertices.append(vid)
+        if label is not None:
+            self.labels[vid] = label
+        return vid
+
+    def add_edge(self, u: str, v: str, value) -> None:
+        for x in (u, v):
+            if x not in self.vertices:
+                raise ValueError(f"unknown vertex: {x!r}")
+        if u == v:
+            raise ValueError(f"self-loop rejected on {u!r}")
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"edge value must be a positive integer, got {value!r}")
+        if frozenset((u, v)) in self.lines:
+            raise ValueError(f"duplicate edge {u!r} - {v!r}")
+        self.lines[frozenset((u, v))] = value
+
+    def value(self, u: str, v: str) -> int:
+        return self.lines.get(frozenset((u, v)), 0)
+
+    def neighbors(self, vertex: str) -> list[str]:
+        return [w for w in self.vertices if self.value(vertex, w)]

@@ -296,8 +296,11 @@ class TestParseDegreeListCsv:
 
 
 # Membership CSV cells: case, space and Unicode-composition variants of a
-# few names, and fields that need quoting (a comma, a line break, a quote).
-_ACTOR_CELLS = ["Ann", "ann", " ANN ", "e\u0301", "\u00e9", "Smith, J", "O\"Neil", "two\nlines"]
+# few names, a letter that case folding decomposes (U+01F0), and fields
+# that need quoting (a comma, a line break, a quote).
+_ACTOR_CELLS = [
+    "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "Smith, J", "O\"Neil", "two\nlines"
+]
 _EVENT_CELLS = ["J1", " J1", "j1", "J 2", "J\n3", "Lib, Sci"]
 _BLANK_ROWS = ["", "   ", ",", " , ", '""']
 _ODD_ROWS = [["  ", "J1"], ["Ann", ""], ["a"], ["a", "J1", "x"]]  # each one is rejected

@@ -1,12 +1,18 @@
-import pytest
+import random
+import unicodedata
 
-from oracles import validate_two_mode
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import PlainNetwork, validate_two_mode
 
 from interlock import (
     OneModeNetwork,
     TwoModeNetwork,
     normalize_identifier,
     pair_density,
+    project_actors,
 )
 
 
@@ -197,3 +203,220 @@ def test_normalize_identifier():
     assert normalize_identifier("ABC", casefold=True) == "abc"
     with pytest.raises(ValueError):
         normalize_identifier(" \t ")
+
+
+# Characters whose case folding decomposes (U+01F0, U+0390, U+1E96), maps a
+# combining mark to a letter (U+0345), or expands (ß, ﬃ, İ), plus combining
+# marks that compose with a preceding letter.
+_FOLD_TRICKY = "\u01f0\u0390\u1e96\u0345\u00df\ufb03\u0130jJ\u0301\u030c\u0323 "
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    raw=st.text(st.one_of(st.characters(), st.sampled_from(_FOLD_TRICKY))),
+    casefold=st.booleans(),
+)
+def test_normalized_identifier_is_a_fixed_point(raw, casefold):
+    """An id normalizes to itself, so a one-mode network built from stored
+    ids (``add_vertex`` normalizes again) keeps them unchanged."""
+    try:
+        token = normalize_identifier(raw, casefold=casefold)
+    except ValueError:
+        return
+    assert normalize_identifier(token) == token
+    assert normalize_identifier(token, casefold=casefold) == token
+
+
+def test_casefolded_actor_keeps_its_id_in_the_actor_projection():
+    net = TwoModeNetwork(casefold_actors=True)
+    for event, actor in [("J1", "\u01f0"), ("J1", "b"), ("J2", "\u01f0")]:
+        net.add_affiliation(event, actor)
+    assert net.actors == ("\u01f0", "b")  # folded to j + U+030C, composed again
+    projected = project_actors(net)
+    assert projected.has_vertex(net.actors[0])
+    assert projected.vertices == net.actors
+    assert projected.value("\u01f0", "b") == 1
+
+
+# Vertex names: stored as given, trimmed, NFC-composed, or rejected as
+# empty.  Line endpoints are mostly stored ids, sometimes an id never added
+# ("E") or a raw spelling that only matches once normalized (" B ",
+# decomposed "José"); values are mostly valid.
+_KNOWN = ("A", "B", "C", "D", "F", "Jos\u00e9")
+_VERTEX_NAMES = _KNOWN * 2 + (" B ", "Jose\u0301", "", "  ")
+_ENDPOINTS = _KNOWN * 4 + ("E", " B ", "Jose\u0301")
+_VALUES = (1, 2, 3, 7) * 2 + (0, -2, 2.0, True)
+
+
+@st.composite
+def _one_mode_ops(draw):
+    """Vertex and line additions in a shuffled order, most lines after all
+    vertices (so they meet known endpoints), with full checks in between."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    vertex_ops = [
+        ("vertex", rnd.choice(_VERTEX_NAMES), rnd.choice((None, "L1", "L2")))
+        for _ in range(rnd.randint(0, 20))
+    ]
+    edge_ops = [
+        ("edge", rnd.choice(_ENDPOINTS), rnd.choice(_ENDPOINTS), rnd.choice(_VALUES))
+        for _ in range(rnd.randint(0, 40))
+    ]
+    early = rnd.randint(0, min(len(edge_ops), 8))
+    ops = vertex_ops + edge_ops[:early]
+    rnd.shuffle(ops)
+    ops += edge_ops[early:]
+    for _ in range(rnd.randint(0, 3)):
+        ops.insert(rnd.randint(0, len(ops)), ("check",))
+    return ops
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+def _rebuilt(ref: PlainNetwork, order, lines) -> OneModeNetwork:
+    out = OneModeNetwork()
+    for v in order:
+        out.add_vertex(v, ref.labels.get(v))
+    for pair in lines:
+        u, v = sorted(pair)
+        out.add_edge(u, v, ref.lines[pair])
+    return out
+
+
+def _assert_matches(net: OneModeNetwork, ref: PlainNetwork, rnd) -> None:
+    order = ref.vertices
+    assert net.vertices == tuple(order)
+    assert net.n == len(order)
+    assert net.edge_count == len(ref.lines)
+    assert net.degrees() == [len(ref.neighbors(v)) for v in order]
+    for v in order:
+        assert net.has_vertex(v)
+        assert net.label(v) == ref.labels.get(v, v)
+        assert net.degree(v) == len(ref.neighbors(v))
+        assert net.neighbors(v) == tuple(ref.neighbors(v))
+        for w in order:
+            assert net.value(v, w) == ref.value(v, w)
+    for name in _ENDPOINTS:
+        if name not in order:
+            message = f"unknown vertex: {name!r}"
+            for call, args in (
+                (net.degree, (name,)),
+                (net.neighbors, (name,)),
+                (net.index, (name,)),
+                (net.value, (name, name)),
+            ):
+                assert _outcome(call, *args) == ("rejected", message)
+            if order:
+                assert _outcome(net.value, order[0], name) == ("rejected", message)
+    assert list(net.edges()) == [
+        (u, w, ref.lines[frozenset((u, w))])
+        for i, u in enumerate(order)
+        for w in order[i + 1 :]
+        if frozenset((u, w)) in ref.lines
+    ]
+    view = net.frozen()
+    assert view.vertices == tuple(order)
+    assert view.adjacency == tuple(
+        [order.index(w) for w in ref.neighbors(v)] for v in order
+    )
+    net.validate()
+    lines = list(ref.lines)
+    rnd.shuffle(lines)
+    assert net == _rebuilt(ref, order, lines)
+    if len(order) > 1:
+        swapped = [order[1], order[0], *order[2:]]
+        assert net != _rebuilt(ref, swapped, lines)
+        relabelled = _rebuilt(ref, order, lines)
+        relabelled.set_label(order[0], net.label(order[0]) + "*")
+        assert net != relabelled
+    if lines:
+        revalued = _rebuilt(ref, order, lines[1:])
+        u, v = sorted(lines[0])
+        revalued.add_edge(u, v, ref.lines[lines[0]] + 1)
+        assert net != revalued
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_one_mode_ops(), rnd=st.randoms(use_true_random=False))
+def test_one_mode_network_matches_plain_reference(ops, rnd):
+    """Random add_vertex/add_edge sequences, rejected operations included,
+    read the same through every public query as a plain pair -> value dict;
+    rejections carry the same message."""
+    net, ref = OneModeNetwork(), PlainNetwork()
+    for op in ops:
+        if op[0] == "check":
+            _assert_matches(net, ref, rnd)
+            continue
+        call, ref_call = (
+            (net.add_vertex, ref.add_vertex) if op[0] == "vertex" else (net.add_edge, ref.add_edge)
+        )
+        assert _outcome(call, *op[1:]) == _outcome(ref_call, *op[1:])
+    _assert_matches(net, ref, rnd)
+
+
+_EVENT_TOKENS = ("J1", " J1", "J2", "Jose\u0301", "Jos\u00e9", "J3")
+_ACTOR_TOKENS = ("a", "A", " a ", "b", "B", "c")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("event"), st.sampled_from(_EVENT_TOKENS)),
+            st.tuples(
+                st.just("seat"), st.sampled_from(_EVENT_TOKENS), st.sampled_from(_ACTOR_TOKENS)
+            ),
+        ),
+        max_size=30,
+    ),
+    casefold=st.booleans(),
+)
+def test_two_mode_network_keeps_encounter_order(ops, casefold):
+    net = TwoModeNetwork(casefold_actors=casefold)
+    events: list[str] = []
+    actors: list[str] = []
+    seats: list[tuple[str, str]] = []
+    for op in ops:
+        eid = unicodedata.normalize("NFC", op[1].strip())
+        if eid not in events:
+            events.append(eid)
+        if op[0] == "event":
+            assert net.add_event(op[1]) == eid
+            continue
+        aid = unicodedata.normalize("NFC", op[2].strip())
+        aid = aid.casefold() if casefold else aid
+        if aid not in actors:
+            actors.append(aid)
+        assert net.add_affiliation(op[1], op[2]) is ((eid, aid) not in seats)
+        if (eid, aid) not in seats:
+            seats.append((eid, aid))
+    assert net.events == tuple(events)
+    assert net.actors == tuple(actors)
+    assert net.seats() == len(seats)
+    for e in events:
+        assert net.members(e) == {a for x, a in seats if x == e}
+    for a in actors:
+        assert net.events_of(a) == {e for e, x in seats if x == a}
+    assert _outcome(net.members, "J9") == ("rejected", "unknown event: 'J9'")
+    assert _outcome(net.events_of, "z") == ("rejected", "unknown actor: 'z'")
+    assert repr(net) == (
+        f"TwoModeNetwork(events={len(events)}, actors={len(actors)}, seats={len(seats)})"
+    )
+
+    def replayed(event_order, seat_order):
+        out = TwoModeNetwork(casefold_actors=casefold)
+        for e in event_order:
+            out.add_event(e)
+        for e, a in seat_order:
+            out.add_affiliation(e, a)
+        return out
+
+    assert net == replayed(events, seats)
+    if len(events) > 1:
+        assert net != replayed(events[::-1], seats)
+    reordered = replayed(events, seats[::-1])
+    assert (net == reordered) is (reordered.actors == net.actors)
