@@ -8,7 +8,6 @@ variables are consulted.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +27,7 @@ from .projection import project_events
 from .report import (
     SCHEMA_VERSION,
     TABLE_KINDS,
-    aggregates_to_dict,
+    _aggregates_json,
     build_report,
     render_table,
     report_to_json,
@@ -140,8 +139,9 @@ def _write_warnings(source: str, warnings: Sequence[tuple[int, str]]) -> None:
 
 
 def _stats_json(aggregates: NetworkAggregates) -> str:
-    payload = {"schema": SCHEMA_VERSION, "aggregates": aggregates_to_dict(aggregates)}
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """The ``--stats-only`` document: the schema tag and the aggregates."""
+    aggregates_text = _aggregates_json(aggregates)
+    return f'{{\n  "schema": "{SCHEMA_VERSION}",\n  "aggregates": {aggregates_text}\n}}\n'
 
 
 def run_analyze(argv: list[str] | None = None) -> int:

@@ -59,14 +59,7 @@ def m_slice(net: OneModeNetwork, m: int) -> OneModeNetwork:
     """Subnetwork keeping every vertex but only lines valued at least ``m``."""
     if m < 1:
         raise ValueError(f"slice threshold must be at least 1, got {m}")
-    out = OneModeNetwork()
-    for v in net.vertices:
-        out.add_vertex(v, net.label(v))
-    for u, v, value in net.edges():
-        if value >= m:
-            out.add_edge(u, v, value)
-    out.validate()
-    return out
+    return net._slice(m)
 
 
 def weak_components(net: OneModeNetwork) -> list[list[str]]:

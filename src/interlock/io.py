@@ -67,28 +67,40 @@ def parse_csv_affiliations(
     """
     diags = ParseDiagnostics()
     net = TwoModeNetwork(casefold_actors=casefold_actors)
-    rows = _csv_rows(text)
-    first = next(rows, None)
-    if first is None:
-        raise FormatError(1, "missing header row")
-    line, row = first
-    names = [cell.strip().lower() for cell in row]
-    if sorted(names) != ["actor", "event"]:
-        raise FormatError(line, f"expected header with columns actor,event; got {row!r}")
-    event_col, actor_col = names.index("event"), names.index("actor")
-    add, warn = net.add_affiliation, diags.warnings.append
-    records = duplicates = 0
-    for line, row in rows:
-        if len(row) != 2:
-            raise FormatError(line, f"expected 2 fields, got {len(row)}")
-        records += 1
-        try:
-            added = add(row[event_col], row[actor_col])
-        except ValueError as exc:
-            raise FormatError(line, str(exc)) from None
-        if not added:
-            duplicates += 1
-            warn((line, f"duplicate membership collapsed: {row!r}"))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                break
+        else:
+            raise FormatError(1, "missing header row")
+        names = [cell.strip().lower() for cell in row]
+        if sorted(names) != ["actor", "event"]:
+            raise FormatError(
+                reader.line_num, f"expected header with columns actor,event; got {row!r}"
+            )
+        event_col, actor_col = names.index("event"), names.index("actor")
+        add, warn = net.add_affiliation, diags.warnings.append
+        records = duplicates = 0
+        # A row is tested for blankness only once it fails: a 2-cell row is
+        # blank exactly when both identifiers trim to empty, which add rejects.
+        for row in reader:
+            if len(row) != 2:
+                if "".join(row).strip():
+                    raise FormatError(reader.line_num, f"expected 2 fields, got {len(row)}")
+                continue
+            try:
+                added = add(row[event_col], row[actor_col])
+            except ValueError as exc:
+                if "".join(row).strip():
+                    raise FormatError(reader.line_num, str(exc)) from None
+                continue
+            records += 1
+            if not added:
+                duplicates += 1
+                warn((reader.line_num, f"duplicate membership collapsed: {row!r}"))
+    except csv.Error as exc:
+        raise FormatError(reader.line_num, str(exc)) from None
     diags.records_read, diags.duplicates_collapsed = records, duplicates
     return net, diags
 
@@ -112,13 +124,14 @@ def _iter_lines(text: str):
 
 
 def _parse_vertex_defs(
-    head_no: int, lines: list[tuple[int, str]], n: int
+    lines: list[tuple[int, str]], n: int
 ) -> tuple[dict[int, str], dict[int, int]]:
-    """Name and source line of vertices 1..n from ``index "label"`` lines;
-    trailing tokens are ignored.  An undefined index is named by its number
-    and located at the ``*Vertices`` line (``head_no``)."""
-    names = {i: str(i) for i in range(1, n + 1)}
-    where = dict.fromkeys(names, head_no)
+    """Label and source line of each vertex of 1..n that an ``index
+    "label"`` line defines; trailing tokens are ignored.  Only defined
+    indices are stored: the callers name an undefined index by its number
+    and locate it at the ``*Vertices`` line."""
+    names: dict[int, str] = {}
+    where: dict[int, int] = {}
     for no, line in lines:
         m = _VERTEX_LINE.match(line)
         if m:
@@ -130,7 +143,7 @@ def _parse_vertex_defs(
             idx, label = int(parts[0]), parts[1]
         if not 1 <= idx <= n:
             raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
-        if where[idx] != head_no:  # definitions come after the header line
+        if idx in where:
             raise FormatError(no, f"vertex {idx} defined twice")
         names[idx], where[idx] = label, no
     return names, where
@@ -163,6 +176,11 @@ def _split_sections(text: str, expect_counts: int):
     return head_no, [int(c) for c in counts], vertex_lines, edge_lines
 
 
+def _vertex_name(names: dict[int, str], idx: int) -> str:
+    """The label of vertex ``idx``; an undefined vertex is named by its number."""
+    return names[idx] if idx in names else str(idx)
+
+
 def parse_net_two_mode(
     text: str, *, casefold_actors: bool = False
 ) -> tuple[TwoModeNetwork, ParseDiagnostics]:
@@ -172,29 +190,42 @@ def parse_net_two_mode(
     events and the rest actors; ``*Edges`` lines must join one of each
     (anything else raises :class:`BipartitenessError`).  Undefined vertex
     indices get their number as label; actor vertices that end up with no
-    affiliation are dropped with a warning.
+    affiliation are dropped with a warning, one for each run of two or
+    more consecutive undefined ones.
     """
     diags = ParseDiagnostics()
     head_no, (n, n_events), vertex_lines, edge_lines = _split_sections(text, 2)
     if n_events > n:
         raise FormatError(head_no, f"event count {n_events} exceeds vertex count {n}")
-    names, def_lines = _parse_vertex_defs(head_no, vertex_lines, n)
+    names, def_lines = _parse_vertex_defs(vertex_lines, n)
 
     net = TwoModeNetwork(casefold_actors=casefold_actors)
     seen_events: set[str] = set()
     for i in range(1, n_events + 1):
+        label = _vertex_name(names, i)
         try:
-            eid = net.add_event(names[i], names[i])
+            eid = net.add_event(label, label)
         except ValueError as exc:
-            raise FormatError(def_lines[i], str(exc)) from None
+            raise FormatError(def_lines.get(i, head_no), str(exc)) from None
         if eid in seen_events:  # two labels that trim and normalize alike
-            raise FormatError(def_lines[i], f"duplicate event label {names[i]!r}")
+            raise FormatError(def_lines.get(i, head_no), f"duplicate event label {label!r}")
         seen_events.add(eid)
+
+    defined_actors = sorted(i for i in names if i > n_events)
+    # An undefined actor is named by its number, so it can clash only with a
+    # defined actor whose label reads as that number; no other is checked.
+    digits = len(str(n))
+    numbered = (
+        int(label)
+        for label in map(names.get, defined_actors)
+        if label.isdecimal() and len(label) <= digits
+    )
     seen_actors: set[str] = set()
-    for i in range(n_events + 1, n + 1):
-        if names[i] in seen_actors:
-            raise FormatError(def_lines[i], f"duplicate actor label {names[i]!r}")
-        seen_actors.add(names[i])
+    for i in sorted({*defined_actors, *(k for k in numbered if n_events < k <= n)}):
+        label = _vertex_name(names, i)
+        if label in seen_actors:
+            raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
+        seen_actors.add(label)
 
     linked_actors: set[int] = set()
     for no, line in edge_lines:
@@ -215,7 +246,9 @@ def parse_net_two_mode(
         event_idx, actor_idx = (i, j) if i_is_event else (j, i)
         diags.records_read += 1
         try:
-            added = net.add_affiliation(names[event_idx], names[actor_idx])
+            added = net.add_affiliation(
+                _vertex_name(names, event_idx), _vertex_name(names, actor_idx)
+            )
         except ValueError as exc:
             raise FormatError(no, str(exc)) from None
         if not added:
@@ -223,11 +256,21 @@ def parse_net_two_mode(
             diags.warn(no, f"duplicate affiliation collapsed: {i} {j}")
         linked_actors.add(actor_idx)
 
-    for idx in range(n_events + 1, n + 1):
-        if idx not in linked_actors:
+    # Walk the defined or linked actors in index order; the undefined,
+    # unlinked ones lie in the gaps between them.
+    prev = n_events
+    for idx in [*sorted({*defined_actors, *linked_actors}), n + 1]:
+        if idx - prev == 2:
+            diags.warn(head_no, f"actor vertex {str(prev + 1)!r} has no affiliation; dropped")
+        elif idx - prev > 2:
             diags.warn(
-                def_lines[idx], f"actor vertex {names[idx]!r} has no affiliation; dropped"
+                head_no,
+                f"actor vertices {prev + 1}..{idx - 1} are undefined and have no "
+                "affiliation; dropped",
             )
+        if idx <= n and idx not in linked_actors:
+            diags.warn(def_lines[idx], f"actor vertex {names[idx]!r} has no affiliation; dropped")
+        prev = idx
     return net, diags
 
 
@@ -239,14 +282,15 @@ def parse_net_one_mode(text: str) -> OneModeNetwork:
     pairs are rejected.
     """
     head_no, (n,), vertex_lines, edge_lines = _split_sections(text, 1)
-    names, def_lines = _parse_vertex_defs(head_no, vertex_lines, n)
+    names, def_lines = _parse_vertex_defs(vertex_lines, n)
 
     net = OneModeNetwork()
     for i in range(1, n + 1):
+        label = _vertex_name(names, i)
         try:
-            net.add_vertex(names[i], names[i])
+            net.add_vertex(label, label)
         except ValueError as exc:
-            raise FormatError(def_lines[i], str(exc)) from None
+            raise FormatError(def_lines.get(i, head_no), str(exc)) from None
     for no, line in edge_lines:
         parts = line.split()
         if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
@@ -256,7 +300,7 @@ def parse_net_one_mode(text: str) -> OneModeNetwork:
             if not 1 <= idx <= n:
                 raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
         try:
-            net.add_edge(names[i], names[j], value)
+            net.add_edge(_vertex_name(names, i), _vertex_name(names, j), value)
         except ValueError as exc:
             raise FormatError(no, str(exc)) from None
     net.validate()

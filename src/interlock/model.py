@@ -262,6 +262,18 @@ class OneModeNetwork:
         order = view.vertices
         return tuple([order[j] for j in view.adjacency[self.index(vertex)]])
 
+    def _slice(self, m: int) -> OneModeNetwork:
+        """Every vertex and label, with only the lines valued ``m`` or more.
+
+        Each position row is filtered by value: the ids are already
+        normalized and the rows valid, and a filter keeps them so.
+        """
+        out = OneModeNetwork()
+        out._index = dict(self._index)
+        out._labels = dict(self._labels)
+        out._rows = [{j: value for j, value in row.items() if value >= m} for row in self._rows]
+        return out
+
     def value(self, u: str, v: str) -> int:
         """Line value between two vertices; 0 when no line exists."""
         i, j = self.index(u), self.index(v)

@@ -144,8 +144,146 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
+# The string encoder ``json.dumps(..., ensure_ascii=False)`` uses, the C one
+# where CPython has it.  With ``indent`` json.dumps encodes everything else in
+# pure Python, so the report's fixed layout is written out here instead.
+_string = json.encoder.encode_basestring
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Templates in the layout json.dumps(indent=2) gives the report: a vertex
+# sits two levels deep, a slice two and a slice component four.  Ints are
+# formatted by ``str.format`` (their ``repr``); floats, strings and arrays
+# arrive encoded.
+_DOCUMENT = """{{
+  "schema": {},
+  "options": {{
+    "closenessVariant": {},
+    "componentDensityVariant": {}
+  }},
+  "aggregates": {},
+  "vertices": {},
+  "degreeDistribution": {{
+    "rows": {}
+  }},
+  "lineMultiplicity": {{
+    "maxValue": {},
+    "rows": {}
+  }},
+  "slices": {}
+}}
+"""
+_VERTEX = """{{
+      "index": {},
+      "id": {},
+      "label": {},
+      "degree": {},
+      "normalizedDegree": {},
+      "closeness": {},
+      "betweenness": {},
+      "ranks": {{
+        "degree": {},
+        "closeness": {},
+        "betweenness": {}
+      }}
+    }}"""
+_SLICE = """{{
+      "m": {},
+      "edgeCount": {},
+      "componentCount": {},
+      "components": {}
+    }}"""
+_COMPONENT = """{{
+          "members": {},
+          "size": {},
+          "edgeCount": {},
+          "density": {}
+        }}"""
+
+
+def _float(value: float) -> str:
+    """A float as ``json.dumps`` writes it: ``repr``, or NaN/Infinity."""
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _scalar(value) -> str:
+    """A string, int, float or ``None`` as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, float):
+        return _float(value)
+    return int.__repr__(value)
+
+
+def _array(items: list[str], depth: int) -> str:
+    """Encoded ``items`` as an ``indent=2`` array opened at nesting ``depth``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _rows(rows, depth: int) -> str:
+    return _array([_array(list(map(_scalar, row)), depth + 1) for row in rows], depth)
+
+
+def _aggregates_json(agg: NetworkAggregates) -> str:
+    """The ``aggregates`` object as it sits one level into a document."""
+    fields = [f'"{key}": {_scalar(value)}' for key, value in aggregates_to_dict(agg).items()]
+    return "{\n    " + ",\n    ".join(fields) + "\n  }"
+
+
 def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+    """``report_to_dict(report)`` as ``json.dumps(..., indent=2,
+    ensure_ascii=False)`` writes it, with a final newline."""
+    vertices = [
+        _VERTEX.format(
+            pos,
+            _string(vm.vertex),
+            _string(vm.label),
+            vm.degree,
+            _float(vm.normalized_degree),
+            _float(vm.closeness),
+            _float(vm.betweenness),
+            vm.degree_rank,
+            vm.closeness_rank,
+            vm.betweenness_rank,
+        )
+        for pos, vm in enumerate(report.vertices, start=1)
+    ]
+    slices = [
+        _SLICE.format(
+            sl.m,
+            sl.network.edge_count,
+            len(sl.components),
+            _array(
+                [
+                    _COMPONENT.format(
+                        _array(list(map(_string, comp.members)), 5),
+                        comp.size,
+                        comp.edge_count,
+                        _float(comp.density),
+                    )
+                    for comp in sl.components
+                ],
+                3,
+            ),
+        )
+        for sl in report.slices
+    ]
+    return _DOCUMENT.format(
+        _string(report.schema),
+        _string(report.closeness_variant),
+        _string(report.component_density_variant),
+        _aggregates_json(report.aggregates),
+        _array(vertices, 1),
+        _rows(report.degree_distribution.rows, 2),
+        report.line_multiplicity.max_value,
+        _rows(report.line_multiplicity.rows, 2),
+        _array(slices, 1),
+    )
 
 
 def _format_cell(value) -> str:

@@ -72,6 +72,31 @@ class TestMSlice:
                 smaller = {frozenset((u, v)) for u, v, _ in m_slice(net, m + 1).edges()}
                 assert smaller <= larger
 
+    def test_matches_a_checked_rebuild_and_leaves_the_base_alone(self):
+        rng = random.Random(1618)
+        for _ in range(60):
+            net = random_one_mode(rng, max_n=7, max_value=5)
+            for v in net.vertices[::2]:
+                net.set_label(v, v.upper())
+            base = [(u, v, value) for u, v, value in net.edges()]
+            for m in range(1, 7):
+                want = OneModeNetwork()
+                for v in net.vertices:
+                    want.add_vertex(v, net.label(v))
+                for u, v, value in base:
+                    if value >= m:
+                        want.add_edge(u, v, value)
+                sliced = m_slice(net, m)
+                sliced.validate()
+                assert sliced == want
+                assert list(sliced.edges()) == list(want.edges())
+                sliced.add_vertex("extra")
+                for u, v in combinations(net.vertices, 2):
+                    if not sliced.value(u, v):
+                        sliced.add_edge(u, v, 9)
+            assert list(net.edges()) == base
+            assert "extra" not in net.vertices
+
 
 class TestWeakComponents:
     def test_edgeless_gives_singletons(self):

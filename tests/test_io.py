@@ -143,6 +143,37 @@ class TestParseNetTwoMode:
             (2, "actor vertex '4' has no affiliation; dropped"),
         ]
 
+    def test_undefined_unlinked_actor_runs_warn_once_at_the_header(self):
+        text = (
+            '*Vertices 12 1\n1 "J1"\n3 "c"\n7 "g"\n*Edges\n1 3\n1 5\n1 11\n'
+        )
+        net, diags = parse_net_two_mode(text)
+        assert net.actors == ("c", "5", "11")
+        # 2 alone, 4 and 6 around linked 5, 8..10 and 12: "g" keeps its own line
+        assert diags.warnings == [
+            (1, "actor vertex '2' has no affiliation; dropped"),
+            (1, "actor vertex '4' has no affiliation; dropped"),
+            (1, "actor vertex '6' has no affiliation; dropped"),
+            (4, "actor vertex 'g' has no affiliation; dropped"),
+            (1, "actor vertices 8..10 are undefined and have no affiliation; dropped"),
+            (1, "actor vertex '12' has no affiliation; dropped"),
+        ]
+
+    def test_undefined_actor_clashes_with_a_label_spelling_its_number(self):
+        # actor 2 is undefined and so named "2"; actor 3's label spells it
+        with pytest.raises(FormatError) as err:
+            parse_net_two_mode('*Vertices 3 1\n1 "J1"\n3 "2"\n*Edges\n1 3\n')
+        assert (err.value.line, err.value.reason) == (3, "duplicate actor label '2'")
+        # the label comes first: the clash is reported at the undefined actor
+        with pytest.raises(FormatError) as err:
+            parse_net_two_mode('*Vertices 3 1\n1 "J1"\n2 "3"\n*Edges\n1 2\n')
+        assert (err.value.line, err.value.reason) == (1, "duplicate actor label '3'")
+        # "03" and a label longer than any index are not numbers of a vertex
+        net, _ = parse_net_two_mode(
+            f'*Vertices 4 1\n1 "J1"\n2 "03"\n4 "{"9" * 5000}"\n*Edges\n1 2\n1 3\n'
+        )
+        assert net.actors == ("03", "3")
+
     def test_numbers_int_cannot_read_are_rejected(self):
         for text in (
             "*Vertices \u00b2 1\n",
@@ -302,8 +333,13 @@ _ACTOR_CELLS = [
     "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "Smith, J", "O\"Neil", "two\nlines"
 ]
 _EVENT_CELLS = ["J1", " J1", "j1", "J 2", "J\n3", "Lib, Sci"]
-_BLANK_ROWS = ["", "   ", ",", " , ", '""']
-_ODD_ROWS = [["  ", "J1"], ["Ann", ""], ["a"], ["a", "J1", "x"]]  # each one is rejected
+# Whitespace-only rows of 1, 2 and 3 cells are skipped; a 2-cell row with
+# one blank cell, like every other odd row, is rejected.
+_BLANK_ROWS = ["", "   ", "\t", '""', ",", " , ", '" ",\t', " ,\t, ", ",,"]
+_ODD_ROWS = [
+    ["  ", "J1"], ["Ann", ""], ["\t", "J 2"], ["e\u0301", " \t "], ["a"], ["a", "J1", "x"],
+    [" ", "", "x"],
+]
 
 
 def _csv_cell(text: str, quote: bool) -> str:

@@ -3,6 +3,7 @@ import io
 import json
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,14 @@ from hypothesis import strategies as st
 from oracles import rederive_aggregates
 
 from interlock import (
+    AnalysisReport,
+    ComponentSummary,
+    DegreeDistribution,
+    LineMultiplicityDistribution,
+    NetworkAggregates,
+    OneModeNetwork,
+    SliceDecomposition,
+    VertexMetrics,
     build_report,
     parse_csv_affiliations,
     project_events,
@@ -146,6 +155,102 @@ class TestRenderTable:
     def test_unknown_kind(self, toy_report):
         with pytest.raises(ValueError):
             render_table(toy_report, "bogus")
+
+
+# Report contents the JSON writer must encode as json.dumps does: quotes,
+# backslashes, control characters, lone surrogates and non-ASCII text;
+# negative zero, the smallest subnormal, floats that repr in exponent form,
+# NaN and both infinities.
+_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff x", "Zeitschrift f\u00fcr", "\u2028"]
+    ),
+)
+_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, float("nan"), float("inf"), float("-inf")]
+    ),
+)
+_INT = st.integers(-(10**20), 10**20)
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+_AGGREGATES = st.builds(
+    NetworkAggregates,
+    n=_INT,
+    m=_INT,
+    density_no_loops=_FLOAT,
+    density_loops_allowed=_FLOAT,
+    mean_degree=_FLOAT,
+    median_degree=_FLOAT,
+    sd_degree_population=_FLOAT,
+    degree_centralization=_maybe(_FLOAT),
+    betweenness_centralization=_maybe(_FLOAT),
+    closeness_centralization=_maybe(_FLOAT),
+    component_count=_maybe(_INT),
+    isolate_count=_INT,
+)
+_VERTEX = st.builds(
+    VertexMetrics,
+    vertex=_TEXT,
+    label=_TEXT,
+    degree=_INT,
+    normalized_degree=_FLOAT,
+    closeness=_FLOAT,
+    betweenness=_FLOAT,
+    degree_rank=_INT,
+    closeness_rank=_INT,
+    betweenness_rank=_INT,
+)
+_COMPONENT = st.builds(
+    ComponentSummary,
+    members=st.lists(_TEXT, max_size=3),
+    size=_INT,
+    edge_count=_INT,
+    density=_FLOAT,
+)
+
+
+@st.composite
+def _slice(draw):
+    net = OneModeNetwork(f"v{i}" for i in range(draw(st.integers(0, 4))))
+    for i in range(1, net.n):
+        if draw(st.booleans()):
+            net.add_edge("v0", f"v{i}", 1)
+    return SliceDecomposition(
+        m=draw(_INT), network=net, components=draw(st.lists(_COMPONENT, max_size=3))
+    )
+
+
+_REPORT = st.builds(
+    AnalysisReport,
+    aggregates=_AGGREGATES,
+    vertices=st.lists(_VERTEX, max_size=3),
+    degree_distribution=st.builds(
+        DegreeDistribution, rows=st.lists(st.tuples(_INT, _INT, _FLOAT, _FLOAT), max_size=3)
+    ),
+    line_multiplicity=st.builds(
+        LineMultiplicityDistribution,
+        rows=st.lists(st.tuples(_INT, _INT, _FLOAT), max_size=3),
+        max_value=_INT,
+    ),
+    slices=st.lists(_slice(), max_size=3),
+    closeness_variant=_TEXT,
+    component_density_variant=_TEXT,
+    schema=_TEXT,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_REPORT)
+def test_json_writer_matches_json_dumps(report):
+    want = json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+    assert report_to_json(report) == want
 
 
 class TestCli:
@@ -368,6 +473,19 @@ class TestCli:
         assert run_analyze(["--input", str(boards), "--stats-only"]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"{boards}:3: duplicate event label 'J'\n")
+
+    def test_huge_declared_net_header_costs_what_the_file_holds(self, tmp_path, capsys):
+        boards = tmp_path / "boards.net"
+        boards.write_text("*Vertices 1000000 0\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert run_analyze(["--input", str(boards)]) == 0
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert len(err.encode("utf-8")) < 1024
+        assert err == (
+            f"{boards}:1: warning: actor vertices 1..1000000 are undefined and have "
+            "no affiliation; dropped\n"
+        )
 
     def test_format_flag_overrides_extension(self, tmp_path, capsys):
         renamed = tmp_path / "boards.data"
