@@ -41,6 +41,15 @@ class ParseDiagnostics:
         self.warnings.append((line, message))
 
 
+def _int(token: str, line: int) -> int:
+    """The integer a decimal ``token`` spells; one longer than ``int`` reads
+    (4300 digits by default) is a :class:`FormatError` at ``line``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(line, f"number too long: {len(token)} characters") from None
+
+
 def _csv_rows(text: str):
     """Yield ``(line_number, row)`` for every row with a non-blank cell.
 
@@ -135,12 +144,12 @@ def _parse_vertex_defs(
     for no, line in lines:
         m = _VERTEX_LINE.match(line)
         if m:
-            idx, label = int(m.group(1)), m.group(2)
+            idx, label = _int(m.group(1), no), m.group(2)
         else:
             parts = line.split()
             if len(parts) < 2 or not parts[0].isdecimal():
                 raise FormatError(no, f"malformed vertex line: {line!r}")
-            idx, label = int(parts[0]), parts[1]
+            idx, label = _int(parts[0], no), parts[1]
         if not 1 <= idx <= n:
             raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
         if idx in where:
@@ -173,7 +182,7 @@ def _split_sections(text: str, expect_counts: int):
                 continue
             raise FormatError(no, f"unexpected section {line!r}")
         bucket.append((no, line))
-    return head_no, [int(c) for c in counts], vertex_lines, edge_lines
+    return head_no, [_int(c, head_no) for c in counts], vertex_lines, edge_lines
 
 
 def _vertex_name(names: dict[int, str], idx: int) -> str:
@@ -234,7 +243,7 @@ def parse_net_two_mode(
             p.removeprefix("-").isdecimal() for p in parts[:2]
         ):
             raise FormatError(no, f"malformed edge line: {line!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _int(parts[0], no), _int(parts[1], no)
         for idx in (i, j):
             if not 1 <= idx <= n:
                 raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
@@ -295,7 +304,7 @@ def parse_net_one_mode(text: str) -> OneModeNetwork:
         parts = line.split()
         if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
             raise FormatError(no, f"malformed edge line: {line!r}")
-        i, j, value = (int(p) for p in parts)
+        i, j, value = (_int(p, no) for p in parts)
         for idx in (i, j):
             if not 1 <= idx <= n:
                 raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
@@ -393,7 +402,7 @@ def parse_degree_list_csv(text: str) -> tuple[list[int], ParseDiagnostics]:
         cell = row[col].strip()
         if not cell.isdecimal():
             raise FormatError(line, f"degree must be a non-negative integer, got {cell!r}")
-        degrees.append(int(cell))
+        degrees.append(_int(cell, line))
         diags.records_read += 1
     if col is None:
         raise FormatError(1, "missing header row")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from math import fsum, sqrt
 from typing import Iterable, Sequence
 
-from .cohesion import weak_components
 from .model import DENSITY_LOOPS, DENSITY_NO_LOOPS, GraphView, OneModeNetwork, pair_density
 
 CLOSENESS_VARIANTS = ("paper", "component")
@@ -107,57 +106,101 @@ def density(net: OneModeNetwork, variant: str = DENSITY_LOOPS) -> float:
 @dataclass(frozen=True)
 class PathSums:
     """Per-vertex totals over all geodesics, indexed like the network's
-    vertices.
+    vertices, and the weak components the sweep walked.
 
     ``dependency[v]`` sums, over ordered pairs (s, t) of distinct other
     vertices with t reachable from s, the share sigma_st(v)/sigma_st of
     s-t geodesics passing through v; every unordered pair is counted from
     both endpoints.  ``reach[v]`` counts the other vertices v reaches and
-    ``distance_sum[v]`` adds up their geodesic distances.
+    ``distance_sum[v]`` adds up their geodesic distances.  ``components``
+    lists each weak component's vertex positions in ascending order,
+    singletons included, components ordered by their first position.
     """
 
     dependency: list[float]
     reach: list[int]
     distance_sum: list[int]
+    components: list[list[int]]
 
 
 def _sweep(view: GraphView) -> PathSums:
-    """One breadth-first pass per source with dependency back-propagation
-    (Brandes 2001).  Sources are taken in vertex order and neighbours in
-    index order; geodesic counts are exact integers."""
+    """Brandes (2001), one weak component at a time.
+
+    Each component is collected by a breadth-first pass from its lowest
+    position, relabelled ``0..k-1`` in position order (so neighbour lists
+    stay ascending) and swept from every member with k-long buffers: a
+    network costs the sum over its components of k*m, and an isolated
+    vertex costs O(1).  Sources are taken in position order, so each
+    ``dependency`` entry receives its additions in source order, and each
+    ``delta`` entry receives its additions in reversed breadth-first order
+    of its successors: the float additions of a plain per-source sweep, in
+    the same order.  Geodesic counts are exact integers.
+    """
     n = len(view.vertices)
     adjacency = view.adjacency
     dependency = [0.0] * n
     reach = [0] * n
     distance_sum = [0] * n
-    for source in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        dist[source] = 0
-        sigma[source] = 1
-        order = [source]
-        for u in order:  # the list grows while it is read: a FIFO queue
-            du = dist[u] + 1
-            su = sigma[u]
+    components: list[list[int]] = []
+    local = [-1] * n  # position -> index within its component; -1 until seen
+    for start in range(n):
+        if local[start] >= 0:
+            continue
+        local[start] = 0
+        members = [start]
+        for u in members:  # the list grows while it is read: a FIFO queue
             for v in adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    order.append(v)
-                if dist[v] == du:
-                    sigma[v] += su
-        reach[source] = len(order) - 1
-        distance_sum[source] = sum(dist[v] for v in order)
-        delta = [0.0] * n
-        for w in reversed(order):
-            dw = dist[w] - 1
-            sw = sigma[w]
-            share = 1.0 + delta[w]
-            for u in adjacency[w]:
-                if dist[u] == dw:
+                if local[v] < 0:
+                    local[v] = 0
+                    members.append(v)
+        components.append(members)
+        k = len(members)
+        if k == 1:
+            continue
+        members.sort()
+        for i, p in enumerate(members):
+            local[p] = i
+        adj = [[local[v] for v in adjacency[p]] for p in members]
+        dep = [0.0] * k
+        for source in range(k):
+            dist = [k] * k  # k exceeds every distance: "not reached yet"
+            sigma = [0] * k
+            preds = [None] * k
+            dist[source] = 0
+            sigma[source] = 1
+            order = [source]
+            level = [source]
+            d = total = 0
+            while level:
+                d += 1
+                nxt = []
+                for u in level:
+                    su = sigma[u]
+                    for v in adj[u]:
+                        if dist[v] >= d:  # skips back arcs and same-level arcs
+                            if dist[v] == d:
+                                sigma[v] += su
+                                preds[v].append(u)
+                            else:
+                                dist[v] = d
+                                sigma[v] = su
+                                preds[v] = [u]
+                                nxt.append(v)
+                total += d * len(nxt)
+                order += nxt
+                level = nxt
+            distance_sum[members[source]] = total
+            delta = [0.0] * k
+            for w in order[:0:-1]:  # reversed, the source left out
+                sw = sigma[w]
+                share = 1.0 + delta[w]
+                for u in preds[w]:
                     delta[u] += sigma[u] / sw * share
-            if w != source:
-                dependency[w] += delta[w]
-    return PathSums(dependency, reach, distance_sum)
+                dep[w] += delta[w]
+        for i, p in enumerate(members):
+            dependency[p] = dep[i]
+            reach[p] = k - 1
+    return PathSums(dependency, reach, distance_sum, components)
 
 
 def path_sums(net: OneModeNetwork) -> PathSums:
@@ -233,12 +276,12 @@ def closeness_centralization(net: OneModeNetwork) -> float:
     Uses closeness normalized within that subnetwork, (n'-1)/sum-of-
     distances; returns 0.0 when the subnetwork has fewer than 3 vertices.
     """
-    largest = max(weak_components(net), key=len, default=[])
+    sums = path_sums(net)
+    largest = max(sums.components, key=len, default=[])
     np = len(largest)
     if np < 3:
         return 0.0
-    distance_sum = path_sums(net).distance_sum
-    closeness = [(np - 1) / distance_sum[net.index(v)] for v in largest]
+    closeness = [(np - 1) / sums.distance_sum[i] for i in largest]
     best = max(closeness)
     return fsum(best - c for c in closeness) * (2 * np - 3) / ((np - 1) * (np - 2))
 
@@ -337,5 +380,5 @@ def network_aggregates(net: OneModeNetwork) -> NetworkAggregates:
         degree_centralization=degree_central,
         betweenness_centralization=betweenness_central,
         closeness_centralization=closeness_centralization(net),
-        component_count=len(weak_components(net)),
+        component_count=len(path_sums(net).components),
     )

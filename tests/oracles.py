@@ -100,6 +100,45 @@ def brute_betweenness(net: OneModeNetwork) -> dict:
     return {v: 2.0 * raw[v] / ((n - 1) * (n - 2)) for v in net.vertices}
 
 
+def reference_sweep(view) -> tuple[list[float], list[int], list[int]]:
+    """(dependency, reach, distance_sum) of a ``GraphView`` by the plain
+    per-source Brandes pass with n-long buffers: every float addition in
+    the order :func:`interlock.metrics._sweep` must keep, bit for bit."""
+    n = len(view.vertices)
+    adjacency = view.adjacency
+    dependency = [0.0] * n
+    reach = [0] * n
+    distance_sum = [0] * n
+    for source in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[source] = 0
+        sigma[source] = 1
+        order = [source]
+        for u in order:  # the list grows while it is read: a FIFO queue
+            du = dist[u] + 1
+            su = sigma[u]
+            for v in adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = du
+                    order.append(v)
+                if dist[v] == du:
+                    sigma[v] += su
+        reach[source] = len(order) - 1
+        distance_sum[source] = sum(dist[v] for v in order)
+        delta = [0.0] * n
+        for w in reversed(order):
+            dw = dist[w] - 1
+            sw = sigma[w]
+            share = 1.0 + delta[w]
+            for u in adjacency[w]:
+                if dist[u] == dw:
+                    delta[u] += sigma[u] / sw * share
+            if w != source:
+                dependency[w] += delta[w]
+    return dependency, reach, distance_sum
+
+
 def brute_project_events(net: TwoModeNetwork) -> dict:
     """Map of event pair -> shared-member count, zero pairs omitted."""
     out = {}

@@ -187,6 +187,25 @@ class TestParseNetTwoMode:
             parse_degree_list_csv("degree\n3\n\u00b2\n")
         assert err.value.line == 3
 
+    def test_numbers_too_long_for_int_carry_their_line(self):
+        big = "7" * 5000
+        for parse, text, line, chars in (
+            (parse_net_two_mode, f"*Vertices {big} 1\n", 1, 5000),
+            (parse_net_two_mode, f"*Vertices 2 {big}\n", 1, 5000),
+            (parse_net_two_mode, f'*Vertices 2 1\n{big} "J1"\n', 2, 5000),
+            (parse_net_two_mode, f"*Vertices 2 1\n1 J1\n{big} a\n", 3, 5000),
+            (parse_net_two_mode, f'*Vertices 2 1\n1 "J1"\n*Edges\n{big} 2\n', 4, 5000),
+            (parse_net_two_mode, f'*Vertices 2 1\n1 "J1"\n*Edges\n1 -{big}\n', 4, 5001),
+            (parse_net_one_mode, f"*Vertices {big}\n", 1, 5000),
+            (parse_net_one_mode, f'*Vertices 2\n1 "A"\n*Edges\n1 2 {big}\n', 4, 5000),
+            (parse_degree_list_csv, f"journal,degree\na,1\nb,{big}\n", 3, 5000),
+        ):
+            with pytest.raises(FormatError) as err:
+                parse(text)
+            assert (err.value.line, err.value.reason) == (
+                line, f"number too long: {chars} characters"
+            )
+
     def test_missing_vertex_header(self):
         with pytest.raises(FormatError):
             parse_net_two_mode("*Edges\n1 2\n")

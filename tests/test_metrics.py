@@ -2,12 +2,15 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_betweenness,
     brute_closeness,
     brute_distances,
     random_one_mode,
+    reference_sweep,
 )
 
 from interlock import (
@@ -24,6 +27,7 @@ from interlock import (
     network_aggregates,
     rank_competition,
     vertex_metrics,
+    weak_components,
 )
 from interlock import metrics
 from interlock.metrics import path_sums
@@ -168,6 +172,75 @@ class TestGeodesicDistances:
         assert len(calls) == 1
 
 
+def _bipartite(a: int, b: int):
+    return a + b, [(i, a + j) for i in range(a) for j in range(b)]
+
+
+def _grid(rows: int, cols: int):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return rows * cols, edges
+
+
+def _ring_lattice(k: int, reach: int):
+    pairs = {
+        tuple(sorted((i, (i + j) % k))) for i in range(k) for j in range(1, reach + 1) if j % k
+    }
+    return k, sorted(pairs)
+
+
+@st.composite
+def _random_block(draw):
+    k = draw(st.integers(2, 10))
+    pairs = list(combinations(range(k), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return k, [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+# Blocks rich in tied geodesics (complete bipartite graphs, grids, ring
+# lattices), random blocks that may split further, and isolates.
+_BLOCK = st.one_of(
+    st.just((1, [])),
+    st.builds(_bipartite, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(_grid, st.integers(1, 5), st.integers(2, 6)),
+    st.builds(_ring_lattice, st.integers(3, 14), st.integers(1, 3)),
+    _random_block(),
+)
+
+
+@st.composite
+def scattered_nets(draw, max_n: int = 60) -> OneModeNetwork:
+    """Disjoint blocks of at most ``max_n`` vertices in all, their positions
+    shuffled so components interleave; a repeated largest block gives equal
+    largest components."""
+    blocks = draw(st.lists(_BLOCK, max_size=8))
+    if blocks and draw(st.booleans()):
+        blocks.append(max(blocks, key=lambda block: block[0]))
+    kept, n = [], 0
+    for size, edges in blocks:
+        if n + size <= max_n:
+            kept.append((n, edges))
+            n += size
+    position = draw(st.permutations(range(n)))
+    net = OneModeNetwork(f"v{i}" for i in range(n))
+    for offset, edges in kept:
+        for a, b in edges:
+            net.add_edge(f"v{position[offset + a]}", f"v{position[offset + b]}", 1)
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(scattered_nets())
+def test_sweep_matches_the_per_source_reference_bit_for_bit(net):
+    view = net.frozen()
+    sums = metrics._sweep(view)
+    dependency, reach, distance_sum = reference_sweep(view)
+    assert [d.hex() for d in sums.dependency] == [d.hex() for d in dependency]
+    assert sums.reach == reach
+    assert sums.distance_sum == distance_sum
+    assert sums.components == [[net.index(v) for v in c] for c in weak_components(net)]
+
+
 class TestCloseness:
     def test_center_of_p3(self):
         assert closeness_centrality(path_graph("abc"), "b") == 1.0
@@ -265,6 +338,19 @@ class TestCentralizations:
         net.add_vertex("island1")
         net.add_vertex("island2")
         assert closeness_centralization(net) == pytest.approx(1.0)
+
+    def test_closeness_ties_for_largest_go_to_the_first_listed(self):
+        # a triangle and a 2-leaf star, interleaved: the one holding position
+        # 0 is listed first and decides (the triangle is flat, the star not)
+        lines = [("t0", "t1"), ("t1", "t2"), ("t0", "t2"), ("hub", "leaf0"), ("hub", "leaf1")]
+        for order, expected in (
+            (["t0", "hub", "t1", "leaf0", "t2", "leaf1"], 0.0),
+            (["hub", "t0", "leaf0", "t1", "leaf1", "t2"], 1.0),
+        ):
+            net = OneModeNetwork(order)
+            for u, v in lines:
+                net.add_edge(u, v, 1)
+            assert closeness_centralization(net) == pytest.approx(expected)
 
     def test_closeness_zero_below_three(self):
         assert closeness_centralization(path_graph("ab")) == 0.0

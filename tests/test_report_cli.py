@@ -487,6 +487,41 @@ class TestCli:
             "no affiliation; dropped\n"
         )
 
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("edge.net", "*Vertices 3 1\n*Edges\n1 {big}\n", 3),
+            ("header.net", "*Vertices {big} 1\n", 1),
+            ("census.csv", "journal,degree\na,1\nb,{big}\n", 3),
+        ],
+    )
+    def test_numbers_too_long_for_int_exit_1(self, tmp_path, capsys, name, text, line):
+        path = tmp_path / name
+        path.write_text(text.format(big="7" * 5000), encoding="utf-8")
+        assert run_analyze(["--input", str(path), "--stats-only"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{path}:{line}: number too long: 5000 characters\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "*Vertices 50000 50000\n",
+            # 25,000 two-journal components: journals 2i-1 and 2i share editor i
+            "*Vertices 75000 50000\n*Edges\n"
+            + "".join(f"{2 * i - 1} {50000 + i}\n{2 * i} {50000 + i}\n" for i in range(1, 25001)),
+        ],
+        ids=["isolated", "pairs"],
+    )
+    def test_scattered_fields_cost_their_components_not_n_squared(
+        self, tmp_path, capsys, text
+    ):
+        boards = tmp_path / "boards.net"
+        boards.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        assert run_analyze(["--input", str(boards), "--stats-only"]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err == ""
+
     def test_format_flag_overrides_extension(self, tmp_path, capsys):
         renamed = tmp_path / "boards.data"
         shutil.copy(data_path(TOY_BOARDS), renamed)
