@@ -50,19 +50,13 @@ def _int(token: str, line: int) -> int:
         raise FormatError(line, f"number too long: {len(token)} characters") from None
 
 
-def _csv_rows(text: str):
-    """Yield ``(line_number, row)`` for every row with a non-blank cell.
-
-    A record the csv module rejects (a field over its size limit, say)
-    becomes a :class:`FormatError` at the line where it ends.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        for row in reader:
-            if "".join(row).strip():
-                yield reader.line_num, row
-    except csv.Error as exc:
-        raise FormatError(reader.line_num, str(exc)) from None
+def _csv_header(reader) -> tuple[list[str], list[str]]:
+    """The first row of ``reader`` with a non-blank cell, and its cells
+    trimmed and lower-cased; no such row is a :class:`FormatError` at line 1."""
+    for row in reader:
+        if "".join(row).strip():
+            return row, [cell.strip().lower() for cell in row]
+    raise FormatError(1, "missing header row")
 
 
 def parse_csv_affiliations(
@@ -78,12 +72,7 @@ def parse_csv_affiliations(
     net = TwoModeNetwork(casefold_actors=casefold_actors)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        for row in reader:
-            if "".join(row).strip():
-                break
-        else:
-            raise FormatError(1, "missing header row")
-        names = [cell.strip().lower() for cell in row]
+        row, names = _csv_header(reader)
         if sorted(names) != ["actor", "event"]:
             raise FormatError(
                 reader.line_num, f"expected header with columns actor,event; got {row!r}"
@@ -117,21 +106,6 @@ def parse_csv_affiliations(
 _VERTEX_LINE = re.compile(r'^\s*(\d+)\s+"([^"]*)"(?:\s+.*)?$')
 
 
-def _section(token: str) -> str | None:
-    if token.startswith("*"):
-        return token[1:].lower()
-    return None
-
-
-def _iter_lines(text: str):
-    """Yield (line_number, stripped_line), skipping blanks and % comments."""
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        yield no, line
-
-
 def _parse_vertex_defs(
     lines: list[tuple[int, str]], n: int
 ) -> tuple[dict[int, str], dict[int, int]]:
@@ -159,29 +133,34 @@ def _parse_vertex_defs(
 
 
 def _split_sections(text: str, expect_counts: int):
-    """Return (``*Vertices`` line number, its ints, vertex lines, edge lines)."""
-    stream = list(_iter_lines(text))
-    if not stream:
-        raise FormatError(1, "empty file; expected *Vertices")
-    head_no, line = stream[0]
-    head = line.split()
-    if _section(head[0]) != "vertices":
-        raise FormatError(head_no, f"expected *Vertices, got {line!r}")
-    counts = head[1:]
-    if len(counts) != expect_counts or not all(c.isdecimal() for c in counts):
-        want = "<n> <nEvents>" if expect_counts == 2 else "<n>"
-        raise FormatError(head_no, f"expected *Vertices {want}, got {line!r}")
+    """Return (``*Vertices`` line number, its ints, vertex lines, edge lines),
+    each line stripped; blank lines and ``%`` comments are skipped."""
+    head_no = 0
+    counts: list[str] = []
     vertex_lines: list[tuple[int, str]] = []
     edge_lines: list[tuple[int, str]] = []
     bucket = vertex_lines
-    for no, line in stream[1:]:
-        sec = _section(line.split()[0])
-        if sec is not None:
-            if sec == "edges" and bucket is vertex_lines:
-                bucket = edge_lines
-                continue
+    for no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0] == "%":
+            continue
+        if not head_no:
+            head_no = no
+            head = line.split()
+            if head[0].lower() != "*vertices":
+                raise FormatError(no, f"expected *Vertices, got {line!r}")
+            counts = head[1:]
+            if len(counts) != expect_counts or not all(c.isdecimal() for c in counts):
+                want = "<n> <nEvents>" if expect_counts == 2 else "<n>"
+                raise FormatError(no, f"expected *Vertices {want}, got {line!r}")
+        elif line[0] != "*":
+            bucket.append((no, line))
+        elif bucket is vertex_lines and line.split(None, 1)[0].lower() == "*edges":
+            bucket = edge_lines
+        else:
             raise FormatError(no, f"unexpected section {line!r}")
-        bucket.append((no, line))
+    if not head_no:
+        raise FormatError(1, "empty file; expected *Vertices")
     return head_no, [_int(c, head_no) for c in counts], vertex_lines, edge_lines
 
 
@@ -312,7 +291,6 @@ def parse_net_one_mode(text: str) -> OneModeNetwork:
             net.add_edge(_vertex_name(names, i), _vertex_name(names, j), value)
         except ValueError as exc:
             raise FormatError(no, str(exc)) from None
-    net.validate()
     return net
 
 
@@ -373,37 +351,37 @@ def write_dot(net: OneModeNetwork) -> str:
 
 def csv_kind(text: str) -> str:
     """Classify a CSV head as ``affiliations`` or ``degrees`` by its header."""
-    for line, row in _csv_rows(text):
-        names = [cell.strip().lower() for cell in row]
-        if sorted(names) == ["actor", "event"]:
-            return "affiliations"
-        if "degree" in names:
-            return "degrees"
-        raise FormatError(line, f"unrecognized header: {row!r}")
-    raise FormatError(1, "missing header row")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        row, names = _csv_header(reader)
+    except csv.Error as exc:
+        raise FormatError(reader.line_num, str(exc)) from None
+    if sorted(names) == ["actor", "event"]:
+        return "affiliations"
+    if "degree" in names:
+        return "degrees"
+    raise FormatError(reader.line_num, f"unrecognized header: {row!r}")
 
 
 def parse_degree_list_csv(text: str) -> tuple[list[int], ParseDiagnostics]:
     """Read a per-vertex degree census (any header containing ``degree``)."""
-    diags = ParseDiagnostics()
-    col: int | None = None
-    width = 0
     degrees: list[int] = []
-    for line, row in _csv_rows(text):
-        if col is None:
-            names = [cell.strip().lower() for cell in row]
-            if "degree" not in names:
-                raise FormatError(line, f"no degree column in header: {row!r}")
-            col = names.index("degree")
-            width = len(names)
-            continue
-        if len(row) != width:
-            raise FormatError(line, f"expected {width} fields, got {len(row)}")
-        cell = row[col].strip()
-        if not cell.isdecimal():
-            raise FormatError(line, f"degree must be a non-negative integer, got {cell!r}")
-        degrees.append(_int(cell, line))
-        diags.records_read += 1
-    if col is None:
-        raise FormatError(1, "missing header row")
-    return degrees, diags
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        row, names = _csv_header(reader)
+        if "degree" not in names:
+            raise FormatError(reader.line_num, f"no degree column in header: {row!r}")
+        col, width = names.index("degree"), len(names)
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            line = reader.line_num
+            if len(row) != width:
+                raise FormatError(line, f"expected {width} fields, got {len(row)}")
+            cell = row[col].strip()
+            if not cell.isdecimal():
+                raise FormatError(line, f"degree must be a non-negative integer, got {cell!r}")
+            degrees.append(_int(cell, line))
+    except csv.Error as exc:
+        raise FormatError(reader.line_num, str(exc)) from None
+    return degrees, ParseDiagnostics(records_read=len(degrees))

@@ -340,12 +340,15 @@ def degree_census_aggregates(degrees: Sequence[int]) -> NetworkAggregates:
 
     Distance-based figures need the line structure and are left ``None``,
     as is degree centralization below 3 vertices.  An odd degree total
-    cannot come from an undirected network and is rejected.
+    cannot come from an undirected network, nor a degree above n-1 from a
+    simple one; both are rejected.
     """
     n = len(degrees)
     total = sum(degrees)
     if total % 2:
         raise ValueError(f"degree total {total} is odd; not an undirected network")
+    if degrees and max(degrees) >= n:
+        raise ValueError(f"a degree exceeds n-1 = {n - 1}; not a simple undirected network")
     m = total // 2
     mean, median, sd = degree_stats(degrees) if n else (0.0, 0.0, 0.0)
     return NetworkAggregates(

@@ -26,7 +26,6 @@ def _project(vertices, labels, groups) -> OneModeNetwork:
     order = net.vertices
     for (i, j), value in sorted(counts.items()):
         net.add_edge(order[i], order[j], value)
-    net.validate()
     return net
 
 

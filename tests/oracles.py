@@ -378,3 +378,103 @@ class PlainNetwork:
 
     def neighbors(self, vertex: str) -> list[str]:
         return [w for w in self.vertices if self.value(vertex, w)]
+
+
+# The NET section scan and the degree-census CSV readers as they stood
+# before the one-pass rewrite: every line stripped and filtered by one
+# generator, every token's section read by a helper, CSV rows filtered for
+# blankness by another.  Kept verbatim so the rewritten readers are held
+# to the same values, error lines and reasons.
+
+
+def _reference_int(token: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(line, f"number too long: {len(token)} characters") from None
+
+
+def _reference_section(token: str) -> str | None:
+    if token.startswith("*"):
+        return token[1:].lower()
+    return None
+
+
+def _reference_iter_lines(text: str):
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        yield no, line
+
+
+def reference_split_sections(text: str, expect_counts: int):
+    """(``*Vertices`` line number, its ints, vertex lines, edge lines)."""
+    stream = list(_reference_iter_lines(text))
+    if not stream:
+        raise FormatError(1, "empty file; expected *Vertices")
+    head_no, line = stream[0]
+    head = line.split()
+    if _reference_section(head[0]) != "vertices":
+        raise FormatError(head_no, f"expected *Vertices, got {line!r}")
+    counts = head[1:]
+    if len(counts) != expect_counts or not all(c.isdecimal() for c in counts):
+        want = "<n> <nEvents>" if expect_counts == 2 else "<n>"
+        raise FormatError(head_no, f"expected *Vertices {want}, got {line!r}")
+    vertex_lines: list[tuple[int, str]] = []
+    edge_lines: list[tuple[int, str]] = []
+    bucket = vertex_lines
+    for no, line in stream[1:]:
+        sec = _reference_section(line.split()[0])
+        if sec is not None:
+            if sec == "edges" and bucket is vertex_lines:
+                bucket = edge_lines
+                continue
+            raise FormatError(no, f"unexpected section {line!r}")
+        bucket.append((no, line))
+    return head_no, [_reference_int(c, head_no) for c in counts], vertex_lines, edge_lines
+
+
+def _reference_csv_rows(text: str):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(reader.line_num, str(exc)) from None
+
+
+def reference_csv_kind(text: str) -> str:
+    for line, row in _reference_csv_rows(text):
+        names = [cell.strip().lower() for cell in row]
+        if sorted(names) == ["actor", "event"]:
+            return "affiliations"
+        if "degree" in names:
+            return "degrees"
+        raise FormatError(line, f"unrecognized header: {row!r}")
+    raise FormatError(1, "missing header row")
+
+
+def reference_parse_degree_list_csv(text: str) -> tuple[list[int], int]:
+    """(degrees, records read)."""
+    col: int | None = None
+    width = 0
+    degrees: list[int] = []
+    for line, row in _reference_csv_rows(text):
+        if col is None:
+            names = [cell.strip().lower() for cell in row]
+            if "degree" not in names:
+                raise FormatError(line, f"no degree column in header: {row!r}")
+            col = names.index("degree")
+            width = len(names)
+            continue
+        if len(row) != width:
+            raise FormatError(line, f"expected {width} fields, got {len(row)}")
+        cell = row[col].strip()
+        if not cell.isdecimal():
+            raise FormatError(line, f"degree must be a non-negative integer, got {cell!r}")
+        degrees.append(_reference_int(cell, line))
+    if col is None:
+        raise FormatError(1, "missing header row")
+    return degrees, len(degrees)

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_project_events, reference_parse_csv_affiliations, validate_two_mode
+from oracles import (
+    brute_project_events,
+    reference_csv_kind,
+    reference_parse_csv_affiliations,
+    reference_parse_degree_list_csv,
+    reference_split_sections,
+    validate_two_mode,
+)
 
 from interlock import (
     BipartitenessError,
@@ -17,7 +24,7 @@ from interlock import (
     write_edge_list_csv,
     write_net_one_mode,
 )
-from interlock.io import csv_kind
+from interlock.io import _split_sections, csv_kind
 
 
 class TestParseCsvAffiliations:
@@ -425,3 +432,74 @@ def test_csv_ingest_matches_per_row_reference(text, casefold):
     projected = project_events(net)
     assert projected.vertices == net.events
     assert {(u, v): value for u, v, value in projected.edges()} == brute_project_events(net)
+
+
+def _outcome(call, *args):
+    """What ``call`` returns, or the line and reason of its ``FormatError``."""
+    try:
+        return call(*args)
+    except FormatError as exc:
+        return ("FormatError", exc.line, exc.reason)
+
+
+# NET lines for the section scan: headers and section lines in spellings it
+# must accept or reject ("* Edges" is a bare "*" token, "*edges x" opens the
+# edge section), comments, whitespace-only lines, and digits that
+# ``isdecimal`` accepts but are not ASCII.
+_NET_LINES = [
+    "*Vertices 3 1", "*Vertices 2", "*VERTICES 2 1", "*vertices\t4 2", "* Vertices",
+    "*Vertices \u0663 \u0661", "*Vertices 3 \u00b2", f"*Vertices 2 {'7' * 5000}",
+    "*Edges", "*edges x", "* Edges", "*Arcs", "\t*Edges", "*", "*Vertices 2 1 ",
+    "% comment", "%*Edges", " % *Arcs", "", "   ", "\t", "\u3000",
+    '1 "a"', '\u0661 "b"', "2 b", "1 2", "1 3 2", "\u0661 \u0662",
+]
+_NET_BREAKS = ["\n", "\r\n", "\r", "\x0c"]
+
+
+@st.composite
+def _net_sections_text(draw):
+    lines = draw(st.lists(st.sampled_from(_NET_LINES), max_size=10))
+    text = "".join(line + draw(st.sampled_from(_NET_BREAKS)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n\r\x0c")
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_net_sections_text(), expect_counts=st.sampled_from([1, 2]))
+def test_net_section_scan_matches_reference(text, expect_counts):
+    assert _outcome(_split_sections, text, expect_counts) == _outcome(
+        reference_split_sections, text, expect_counts
+    )
+
+
+# Degree-census and membership CSV rows: headers in odd case and spacing,
+# blank and whitespace-only rows, extra cells, a digit ``isdecimal`` accepts
+# that is no ASCII digit, quoted line breaks and unterminated quotes.
+_CSV_HEADERS = [
+    "journal,degree", "id,Degree ", "degree", " DEGREE,x,y", "actor,event", " Event, ACTOR",
+    "x,y", "degree,degree", "",
+]
+_CSV_ROWS = [
+    "a,3", "b,0", "c, 2 ", "d,\u00b2", "e,\u0663", "f,x", "g,-1", "h,1,extra", "7", ",",
+    " , ", "", "\t", '"a\nb",2', '"x,y",1', '"unterminated,1', 'q,"4', '"",""',
+]
+
+
+@st.composite
+def _census_csv_text(draw):
+    rows = [draw(st.sampled_from(_CSV_HEADERS))]
+    rows += draw(st.lists(st.sampled_from(_CSV_ROWS), max_size=8))
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.sampled_from(["", " , ", ","])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(rows) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_census_csv_text())
+def test_csv_header_readers_match_reference(text):
+    assert _outcome(csv_kind, text) == _outcome(reference_csv_kind, text)
+    got = _outcome(parse_degree_list_csv, text)
+    if got[0] != "FormatError":
+        degrees, diags = got
+        got = (degrees, diags.records_read)
+    assert got == _outcome(reference_parse_degree_list_csv, text)

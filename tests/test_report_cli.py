@@ -503,6 +503,22 @@ class TestCli:
         assert (out, err) == ("", f"{path}:{line}: number too long: 5000 characters\n")
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a float of a 400-digit degree overflows; say what is wrong instead
+            (("1" * 400, "1" * 400), "a degree exceeds n-1 = 1; not a simple undirected network"),
+            (("5", "5"), "a degree exceeds n-1 = 1; not a simple undirected network"),
+            (("1", "2"), "degree total 3 is odd; not an undirected network"),
+        ],
+        ids=["overflow", "above-n-1", "odd-total"],
+    )
+    def test_impossible_degree_census_exits_1(self, tmp_path, capsys, rows, message):
+        census = tmp_path / "census.csv"
+        census.write_text(f"journal,degree\na,{rows[0]}\nb,{rows[1]}\n", encoding="utf-8")
+        assert run_analyze(["--input", str(census), "--stats-only"]) == 1
+        assert capsys.readouterr() == ("", f"{message}\n")
+
+    @pytest.mark.parametrize(
         "text",
         [
             "*Vertices 50000 50000\n",
@@ -591,16 +607,28 @@ def _net_files(draw):
     return "\n".join(lines)
 
 
+# Degree-census cells: small degrees that a few rows can realize, and
+# decimals too large for a float
+_DEGREE_CELLS = st.sampled_from(["0", "1", "2", "3", "1" * 400, "2" * 400])
+
+
 @st.composite
 def _csv_files(draw):
-    header = _slot(
-        draw, "actor,event", st.sampled_from(["Event, Actor", "id,degree", "degree", "x,y", ""])
-    )
+    if draw(st.booleans()):
+        header = _slot(
+            draw, "actor,event", st.sampled_from(["Event, Actor", "id,degree", "degree", "x,y", ""])
+        )
+        columns = (
+            st.sampled_from(["a", "b", "A", "e\u0301", "\u00e9"]),
+            st.sampled_from(["J1", "J2", "J3"]),
+        )
+    else:
+        header = _slot(draw, "journal,degree", st.sampled_from(["id,Degree ", "actor,event", ""]))
+        columns = (st.sampled_from(["J1", "J2", "J3"]), _DEGREE_CELLS)
     rows = []
     for _ in range(draw(st.integers(0, 6))):
-        actor = _slot(draw, draw(st.sampled_from(["a", "b", "A", "e\u0301", "\u00e9"])), _ODD_CELLS)
-        event = _slot(draw, draw(st.sampled_from(["J1", "J2", "J3"])), _ODD_CELLS)
-        rows.append(f"{actor},{event}")
+        first, second = (_slot(draw, draw(cells), _ODD_CELLS) for cells in columns)
+        rows.append(f"{first},{second}")
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join([header, *rows]) + newline
 
