@@ -8,9 +8,9 @@ variables are consulted.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from .io import (
     FormatError,
@@ -101,6 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _path(name: str) -> str:
+    """``name`` as ``str(pathlib.PurePosixPath(name))`` spells it, which is
+    the file opened and the name OS errors give: empty and ``.`` parts are
+    dropped, a leading ``//`` is kept, and nothing left is ``.``."""
+    stripped = name.lstrip("/")
+    root = "//" if len(name) - len(stripped) == 2 else "/" * (name != stripped)
+    return root + "/".join(part for part in stripped.split("/") if part not in ("", ".")) or "."
+
+
 def _emit(
     json_text: str,
     out: str | None,
@@ -115,16 +124,21 @@ def _emit(
     are removed again and nothing goes to stdout.
     """
     files = [(out, json_text), *exports] if out else list(exports)
-    written: list[Path] = []
+    written: list[str] = []
     for path, text in files:
+        target = _path(path)
         try:
-            Path(path).write_text(text, encoding="utf-8")
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text)
         except OSError as exc:
             print(f"cannot write {path}: {exc}", file=sys.stderr)
             for done in written:
-                done.unlink(missing_ok=True)
+                try:
+                    os.unlink(done)
+                except FileNotFoundError:
+                    pass
             return False
-        written.append(Path(path))
+        written.append(target)
     sys.stdout.write(tables if out else json_text + tables)
     return True
 
@@ -152,9 +166,10 @@ def run_analyze(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
 
-    path = Path(args.input)
+    path = _path(args.input)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except FileNotFoundError:
         print(f"no such input: {args.input}", file=sys.stderr)
         return 2
@@ -162,7 +177,10 @@ def run_analyze(argv: list[str] | None = None) -> int:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
 
-    fmt = args.format or ("net" if path.suffix.lower() == ".net" else "csv")
+    # the suffix as pathlib reads it: a name's leading dot does not start one
+    name = path.rpartition("/")[2]
+    dot = name.rfind(".")
+    fmt = args.format or ("net" if dot > 0 and name[dot:].lower() == ".net" else "csv")
     try:
         if fmt == "csv" and csv_kind(text) == "degrees":
             return _run_degree_census(args, text)

@@ -3,44 +3,37 @@ weak components with per-component summaries."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Iterable
+from collections import Counter, deque, namedtuple
+from collections.abc import Iterable
 
 from .model import DENSITY_NO_LOOPS, OneModeNetwork, pair_density
 
 
-@dataclass(frozen=True)
-class LineMultiplicityDistribution:
+class LineMultiplicityDistribution(namedtuple("LineMultiplicityDistribution", "rows max_value")):
     """Frequency of each line value from 1 up to the strongest observed.
 
     Intermediate values with no occurrences keep their zero row, so the
     table always runs 1..max_value.
     """
 
-    rows: list[tuple[int, int, float]]
-    max_value: int
+    __slots__ = ()
 
     @property
     def total(self) -> int:
         return sum(freq for _, freq, _ in self.rows)
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
-    members: list[str]
-    size: int
-    edge_count: int
-    density: float
+class ComponentSummary(namedtuple("ComponentSummary", "members size edge_count density")):
+    """A vertex subset (in vertex order), its size, induced line count and
+    induced density."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SliceDecomposition:
+class SliceDecomposition(namedtuple("SliceDecomposition", "m network components")):
     """An m-slice and its weak components."""
 
-    m: int
-    network: OneModeNetwork
-    components: list[ComponentSummary]
+    __slots__ = ()
 
 
 def line_multiplicity_distribution(net: OneModeNetwork) -> LineMultiplicityDistribution:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
 
 from .model import OneModeNetwork, TwoModeNetwork
 
@@ -29,13 +28,34 @@ class BipartitenessError(FormatError):
     """An edge joining two events or two actors in a two-mode file."""
 
 
-@dataclass
 class ParseDiagnostics:
-    """Non-fatal observations collected while parsing."""
+    """Non-fatal observations collected while parsing: ``(line, message)``
+    warnings, records read and duplicate records collapsed."""
 
-    warnings: list[tuple[int, str]] = field(default_factory=list)
-    records_read: int = 0
-    duplicates_collapsed: int = 0
+    __slots__ = ("warnings", "records_read", "duplicates_collapsed")
+
+    def __init__(
+        self,
+        warnings: list[tuple[int, str]] | None = None,
+        records_read: int = 0,
+        duplicates_collapsed: int = 0,
+    ) -> None:
+        self.warnings = [] if warnings is None else warnings
+        self.records_read = records_read
+        self.duplicates_collapsed = duplicates_collapsed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.warnings, self.records_read, self.duplicates_collapsed) == (
+            other.warnings, other.records_read, other.duplicates_collapsed
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ParseDiagnostics(warnings={self.warnings!r}, records_read={self.records_read!r}, "
+            f"duplicates_collapsed={self.duplicates_collapsed!r})"
+        )
 
     def warn(self, line: int, message: str) -> None:
         self.warnings.append((line, message))

@@ -10,41 +10,42 @@ so results are deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from math import fsum, sqrt
-from typing import Iterable, Sequence
 
 from .model import DENSITY_LOOPS, DENSITY_NO_LOOPS, GraphView, OneModeNetwork, pair_density
 
 CLOSENESS_VARIANTS = ("paper", "component")
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
+class DegreeDistribution(namedtuple("DegreeDistribution", "rows")):
     """Rows of (degree, frequency, relative frequency, cumulative relative
     frequency), ascending, with only observed degrees present."""
 
-    rows: list[tuple[int, int, float, float]]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VertexMetrics:
+class VertexMetrics(
+    namedtuple(
+        "VertexMetrics",
+        "vertex label degree normalized_degree closeness betweenness"
+        " degree_rank closeness_rank betweenness_rank",
+    )
+):
     """Per-vertex centralities with their competition ranks."""
 
-    vertex: str
-    label: str
-    degree: int
-    normalized_degree: float
-    closeness: float
-    betweenness: float
-    degree_rank: int
-    closeness_rank: int
-    betweenness_rank: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NetworkAggregates:
+class NetworkAggregates(
+    namedtuple(
+        "NetworkAggregates",
+        "n m density_no_loops density_loops_allowed mean_degree median_degree"
+        " sd_degree_population degree_centralization betweenness_centralization"
+        " closeness_centralization component_count isolate_count",
+    )
+):
     """Network-level summary figures.
 
     Centralizations need at least 3 vertices and are reported as 0.0 below
@@ -53,18 +54,7 @@ class NetworkAggregates:
     the line structure are ``None``.
     """
 
-    n: int
-    m: int
-    density_no_loops: float
-    density_loops_allowed: float
-    mean_degree: float
-    median_degree: float
-    sd_degree_population: float
-    degree_centralization: float | None
-    betweenness_centralization: float | None
-    closeness_centralization: float | None
-    component_count: int | None
-    isolate_count: int
+    __slots__ = ()
 
 
 def degree_distribution(net: OneModeNetwork) -> DegreeDistribution:
@@ -103,8 +93,7 @@ def density(net: OneModeNetwork, variant: str = DENSITY_LOOPS) -> float:
     return pair_density(net.n, net.edge_count, variant)
 
 
-@dataclass(frozen=True)
-class PathSums:
+class PathSums(namedtuple("PathSums", "dependency reach distance_sum components")):
     """Per-vertex totals over all geodesics, indexed like the network's
     vertices, and the weak components the sweep walked.
 
@@ -117,10 +106,7 @@ class PathSums:
     singletons included, components ordered by their first position.
     """
 
-    dependency: list[float]
-    reach: list[int]
-    distance_sum: list[int]
-    components: list[list[int]]
+    __slots__ = ()
 
 
 def _sweep(view: GraphView) -> PathSums:
@@ -346,7 +332,8 @@ def degree_census_aggregates(degrees: Sequence[int]) -> NetworkAggregates:
     n = len(degrees)
     total = sum(degrees)
     if total % 2:
-        raise ValueError(f"degree total {total} is odd; not an undirected network")
+        shown = f" {total}" if total < 10**40 else ""  # a long total is not echoed
+        raise ValueError(f"degree total{shown} is odd; not an undirected network")
     if degrees and max(degrees) >= n:
         raise ValueError(f"a degree exceeds n-1 = {n - 1}; not a simple undirected network")
     m = total // 2
@@ -378,8 +365,7 @@ def network_aggregates(net: OneModeNetwork) -> NetworkAggregates:
         betweenness_central = betweenness_centralization(
             betweenness_centrality(net).values()
         )
-    return replace(
-        census,
+    return census._replace(
         degree_centralization=degree_central,
         betweenness_centralization=betweenness_central,
         closeness_centralization=closeness_centralization(net),

@@ -8,8 +8,7 @@ undirected graph whose integer line values count shared members.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Set
 
 DENSITY_NO_LOOPS = "no-loops"
 DENSITY_LOOPS = "loops"
@@ -121,7 +120,7 @@ class TwoModeNetwork:
             raise ValueError(f"unknown event: {event!r}")
         return self._event_labels.get(event, event)
 
-    def seat_sets(self) -> tuple[Iterable[AbstractSet[str]], Iterable[AbstractSet[str]]]:
+    def seat_sets(self) -> tuple[Iterable[Set[str]], Iterable[Set[str]]]:
         """Every board (event order) and every actor's events (actor order)
         as stored, not copied; read-only."""
         return self._members.values(), self._actor_events.values()
@@ -148,7 +147,6 @@ class TwoModeNetwork:
         )
 
 
-@dataclass(eq=False)
 class GraphView:
     """Integer snapshot of a :class:`OneModeNetwork`'s line structure.
 
@@ -156,11 +154,26 @@ class GraphView:
     its neighbours' indices in ascending order.  A view is never modified
     after construction; the network builds a fresh one after it changes,
     so :func:`interlock.metrics.path_sums` caches its sweep on the view.
+    Views compare by identity.
     """
 
-    vertices: tuple[str, ...]
-    adjacency: tuple[list[int], ...]
-    path_sums: object = None
+    __slots__ = ("vertices", "adjacency", "path_sums")
+
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        adjacency: tuple[list[int], ...],
+        path_sums: object = None,
+    ) -> None:
+        self.vertices = vertices
+        self.adjacency = adjacency
+        self.path_sums = path_sums
+
+    def __repr__(self) -> str:
+        return (
+            f"GraphView(vertices={self.vertices!r}, adjacency={self.adjacency!r}, "
+            f"path_sums={self.path_sums!r})"
+        )
 
 
 class OneModeNetwork:

@@ -7,23 +7,10 @@ is deterministic: identical inputs produce byte-identical text.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .cohesion import (
-    LineMultiplicityDistribution,
-    SliceDecomposition,
-    line_multiplicity_distribution,
-    slice_decomposition,
-)
-from .metrics import (
-    DegreeDistribution,
-    NetworkAggregates,
-    VertexMetrics,
-    degree_distribution,
-    network_aggregates,
-    vertex_metrics,
-)
+from .cohesion import line_multiplicity_distribution, slice_decomposition
+from .metrics import NetworkAggregates, degree_distribution, network_aggregates, vertex_metrics
 from .model import DENSITY_NO_LOOPS, OneModeNetwork
 
 SCHEMA_VERSION = "1"
@@ -37,18 +24,17 @@ DENSITY_NOTE = (
 TABLE_KINDS = ("degreeDist", "centrality", "lineMultiplicity")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(
+    namedtuple(
+        "AnalysisReport",
+        "aggregates vertices degree_distribution line_multiplicity slices"
+        " closeness_variant component_density_variant schema",
+        defaults=((), "paper", DENSITY_NO_LOOPS, SCHEMA_VERSION),
+    )
+):
     """Everything the pipeline derives from one valued network."""
 
-    aggregates: NetworkAggregates
-    vertices: list[VertexMetrics]
-    degree_distribution: DegreeDistribution
-    line_multiplicity: LineMultiplicityDistribution
-    slices: list[SliceDecomposition] = field(default_factory=list)
-    closeness_variant: str = "paper"
-    component_density_variant: str = DENSITY_NO_LOOPS
-    schema: str = SCHEMA_VERSION
+    __slots__ = ()
 
 
 def build_report(
@@ -145,9 +131,13 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 
 # The string encoder ``json.dumps(..., ensure_ascii=False)`` uses, the C one
-# where CPython has it.  With ``indent`` json.dumps encodes everything else in
-# pure Python, so the report's fixed layout is written out here instead.
-_string = json.encoder.encode_basestring
+# where CPython has it, taken without importing the ``json`` package.  With
+# ``indent`` json.dumps encodes everything else in pure Python, so the
+# report's fixed layout is written out here instead.
+try:
+    from _json import encode_basestring as _string
+except ImportError:
+    from json.encoder import encode_basestring as _string
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # Templates in the layout json.dumps(indent=2) gives the report: a vertex

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
 import time
@@ -290,6 +291,49 @@ class TestCli:
         assert status == 2
         assert f"cannot write {target}: " in capsys.readouterr().err
 
+    def test_paths_are_opened_and_named_as_pathlib_spells_them(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(data_path(TOY_BOARDS), tmp_path / "boards.csv")
+        # a trailing slash is dropped, so the input is read, not refused
+        assert run_analyze(["--input", "./boards.csv/", "--stats-only"]) == 0
+        capsys.readouterr()
+        target = ".//missing/./r.json"
+        assert run_analyze(["--input", "boards.csv", "--out", target]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"cannot write {target}: [Errno 2] No such file or directory: "
+            f"{str(Path(target))!r}\n",
+        )
+
+    @pytest.mark.parametrize(
+        "name, reads_net",
+        [
+            ("x.NET", True),
+            (".net", False),
+            ("..net", True),  # os.path.splitext reads no suffix here
+            ("dir/.net", False),
+            ("a.b.net", True),
+            ("a.net.csv", False),
+            ("a.", False),
+        ],
+    )
+    def test_format_guess_reads_the_suffix_as_pathlib_does(
+        self, tmp_path, monkeypatch, capsys, name, reads_net
+    ):
+        assert (Path(name).suffix.lower() == ".net") == reads_net
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        # valid as a two-mode NET file only: as CSV its header is unknown
+        (tmp_path / name).write_text('*Vertices 2 1\n1 "J"\n2 "a"\n*Edges\n1 2\n', encoding="utf-8")
+        status = run_analyze(["--input", name, "--stats-only"])
+        err = capsys.readouterr().err
+        if reads_net:
+            assert (status, err) == (0, "")
+        else:
+            assert (status, err) == (1, f"{name}:1: unrecognized header: ['*Vertices 2 1']\n")
+
     def test_unrepresentable_label_writes_nothing(self, tmp_path, capsys):
         boards = tmp_path / "q.csv"
         boards.write_text('actor,event\na,"J ""1"""\n', encoding="utf-8")
@@ -509,12 +553,18 @@ class TestCli:
             (("1" * 400, "1" * 400), "a degree exceeds n-1 = 1; not a simple undirected network"),
             (("5", "5"), "a degree exceeds n-1 = 1; not a simple undirected network"),
             (("1", "2"), "degree total 3 is odd; not an undirected network"),
+            # a total too long for str(), or to echo, is not printed
+            (("9" * 4300,) * 10 + ("1",), "degree total is odd; not an undirected network"),
+            (("1" * 400, "2" * 400), "degree total is odd; not an undirected network"),
         ],
-        ids=["overflow", "above-n-1", "odd-total"],
+        ids=["overflow", "above-n-1", "odd-total", "odd-4300-digit", "odd-400-digit"],
     )
     def test_impossible_degree_census_exits_1(self, tmp_path, capsys, rows, message):
         census = tmp_path / "census.csv"
-        census.write_text(f"journal,degree\na,{rows[0]}\nb,{rows[1]}\n", encoding="utf-8")
+        census.write_text(
+            "journal,degree\n" + "".join(f"j{i},{d}\n" for i, d in enumerate(rows)),
+            encoding="utf-8",
+        )
         assert run_analyze(["--input", str(census), "--stats-only"]) == 1
         assert capsys.readouterr() == ("", f"{message}\n")
 
@@ -607,9 +657,10 @@ def _net_files(draw):
     return "\n".join(lines)
 
 
-# Degree-census cells: small degrees that a few rows can realize, and
-# decimals too large for a float
-_DEGREE_CELLS = st.sampled_from(["0", "1", "2", "3", "1" * 400, "2" * 400])
+# Degree-census cells: small degrees that a few rows can realize, decimals
+# too large for a float, and the longest decimal ``int`` reads, whose sums
+# ``str`` cannot write
+_DEGREE_CELLS = st.sampled_from(["0", "1", "2", "3", "1" * 400, "2" * 400, "9" * 4300])
 
 
 @st.composite
@@ -651,16 +702,28 @@ _FLAG_SETS = st.fixed_dictionaries(
         "outputs": st.lists(st.booleans(), min_size=4, max_size=4).map(
             lambda picks: [f for f, on in zip(_OUTPUT_FLAGS, picks) if on]
         ),
+        # census input with any other flag exits 2 before it is parsed
+        "census_stats_only": st.booleans(),
     }
+)
+# The last stderr line of a failure (exit 1): a parse error at its line, an
+# export a label cannot go into, or a short reason a census is impossible
+_CENSUS_REASON = re.compile(
+    r"(degree total( \d+)? is odd; not an|a degree exceeds n-1 = \d+; not a simple)"
+    r" undirected network"
 )
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(source_file=_INPUTS, flags=_FLAG_SETS)
 def test_cli_contract_holds_for_arbitrary_input(source_file, flags):
-    """Any input and flag mix ends in exit 0, 1 or 2 with no traceback, and
-    writes every requested output on success and none on failure."""
+    """Any input and flag mix ends in exit 0, 1 or 2 with no traceback, says
+    why on exit 1 (the failing line, the export, or briefly why a census is
+    impossible), and writes every requested output on success and none on
+    failure."""
     data, (suffix, fmt) = source_file
+    if data.startswith(b"journal,degree") and flags["census_stats_only"]:
+        flags = {"slices": [], "switches": {"--stats-only"}, "outputs": []}
     with tempfile.TemporaryDirectory() as tmp:
         source = Path(tmp) / f"input{suffix}"
         source.write_bytes(data)
@@ -677,5 +740,10 @@ def test_cli_contract_holds_for_arbitrary_input(source_file, flags):
             status = run_analyze(argv)
         assert status in (0, 1, 2)
         assert "Traceback" not in stderr.getvalue()
+        if status == 1:
+            reason = stderr.getvalue().rstrip("\n").rpartition("\n")[2]
+            assert reason.startswith((f"{source}:", "cannot export ")) or (
+                _CENSUS_REASON.fullmatch(reason) and len(reason) < 200
+            ), reason
         written = [target.exists() for target in outputs]
         assert all(written) if status == 0 else not any(written)

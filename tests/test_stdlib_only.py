@@ -1,11 +1,30 @@
 """The runtime is pure standard library: the package imports with no
 site-packages on the path (``-S``), so a third-party import outside the
-tests (networkx, hypothesis, ...) fails here."""
+tests (networkx, hypothesis, ...) fails here.  A cold start of the CLI
+loads no stdlib module a run does not use, and the result records keep
+their value API (keyword construction, ``==``, ``repr``, immutability)."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from interlock import (
+    DENSITY_NO_LOOPS,
+    AnalysisReport,
+    ComponentSummary,
+    DegreeDistribution,
+    LineMultiplicityDistribution,
+    NetworkAggregates,
+    OneModeNetwork,
+    ParseDiagnostics,
+    SliceDecomposition,
+    VertexMetrics,
+)
+from interlock.metrics import PathSums
+from interlock.model import GraphView
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -20,3 +39,104 @@ def test_package_imports_without_site_packages(tmp_path):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+# Modules a run never uses: record boilerplate, type hints, Path calls and
+# the json package (``_json`` supplies the one string encoder).
+_NOT_ON_THE_CLI_IMPORT_PATH = ("dataclasses", "typing", "pathlib", "inspect", "ast", "json")
+
+
+def test_cli_cold_start_imports_only_what_a_run_uses(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, interlock.cli; print(*sorted(sys.modules))"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "interlock.cli" in loaded
+    assert loaded.isdisjoint(_NOT_ON_THE_CLI_IMPORT_PATH), sorted(
+        loaded.intersection(_NOT_ON_THE_CLI_IMPORT_PATH)
+    )
+
+
+_AGGREGATES = dict(
+    n=3, m=1, density_no_loops=1 / 3, density_loops_allowed=2 / 9, mean_degree=2 / 3,
+    median_degree=1.0, sd_degree_population=0.5, degree_centralization=0.5,
+    betweenness_centralization=None, closeness_centralization=None,
+    component_count=None, isolate_count=1,
+)
+_LINES = dict(rows=[(1, 1, 1.0)], max_value=1)
+_FROZEN_RECORDS = [
+    (DegreeDistribution, dict(rows=[(0, 1, 1 / 3, 1 / 3), (1, 2, 2 / 3, 1.0)])),
+    (
+        VertexMetrics,
+        dict(
+            vertex="j1", label="J 1", degree=1, normalized_degree=0.5, closeness=1.0,
+            betweenness=0.0, degree_rank=1, closeness_rank=1, betweenness_rank=1,
+        ),
+    ),
+    (NetworkAggregates, _AGGREGATES),
+    (PathSums, dict(dependency=[0.0, 0.0], reach=[1, 1], distance_sum=[1, 1], components=[[0, 1]])),
+    (LineMultiplicityDistribution, _LINES),
+    (ComponentSummary, dict(members=["j1", "j2"], size=2, edge_count=1, density=1.0)),
+    (SliceDecomposition, dict(m=2, network=OneModeNetwork(["j1"]), components=[])),
+    (
+        AnalysisReport,
+        dict(
+            aggregates=NetworkAggregates(**_AGGREGATES), vertices=[],
+            degree_distribution=DegreeDistribution(rows=[]),
+            line_multiplicity=LineMultiplicityDistribution(**_LINES), slices=[],
+            closeness_variant="component", component_density_variant="loops", schema="1",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record_type, fields", _FROZEN_RECORDS, ids=[t.__name__ for t, _ in _FROZEN_RECORDS]
+)
+def test_result_records_are_frozen_keyword_built_values(record_type, fields):
+    record = record_type(**fields)
+    assert record == record_type(**fields)
+    assert record != record_type(**{**fields, next(iter(fields)): "other"})
+    assert repr(record) == (
+        f"{record_type.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    )
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+def test_record_defaults_and_derived_fields():
+    report = AnalysisReport(
+        aggregates=NetworkAggregates(**_AGGREGATES), vertices=[],
+        degree_distribution=DegreeDistribution(rows=[]),
+        line_multiplicity=LineMultiplicityDistribution(**_LINES),
+    )
+    assert (report.slices, report.closeness_variant) == ((), "paper")
+    assert (report.component_density_variant, report.schema) == (DENSITY_NO_LOOPS, "1")
+    assert LineMultiplicityDistribution(rows=[(1, 2, 0.5), (2, 2, 0.5)], max_value=2).total == 4
+
+
+def test_parse_diagnostics_is_a_mutable_keyword_built_value():
+    diags = ParseDiagnostics()
+    assert diags == ParseDiagnostics(warnings=[], records_read=0, duplicates_collapsed=0)
+    assert repr(diags) == "ParseDiagnostics(warnings=[], records_read=0, duplicates_collapsed=0)"
+    diags.warn(3, "duplicate")
+    diags.records_read = 2
+    assert diags == ParseDiagnostics(warnings=[(3, "duplicate")], records_read=2)
+    assert diags != ParseDiagnostics(records_read=2)
+    assert ParseDiagnostics().warnings is not ParseDiagnostics().warnings
+
+
+def test_graph_view_compares_by_identity_and_caches_its_sums():
+    view = GraphView(vertices=("a", "b"), adjacency=([1], [0]))
+    assert view != GraphView(vertices=("a", "b"), adjacency=([1], [0]))
+    assert repr(view) == "GraphView(vertices=('a', 'b'), adjacency=([1], [0]), path_sums=None)"
+    view.path_sums = "swept"
+    assert view.path_sums == "swept"
