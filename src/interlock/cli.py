@@ -130,7 +130,7 @@ def _emit(
         try:
             with open(target, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
             print(f"cannot write {path}: {exc}", file=sys.stderr)
             for done in written:
                 try:
@@ -173,7 +173,7 @@ def run_analyze(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"no such input: {args.input}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the name
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
 
@@ -251,11 +251,10 @@ def _run_degree_census(args: argparse.Namespace, text: str) -> int:
         )
         return 2
     try:
-        degrees, diags = parse_degree_list_csv(text)
+        degrees, _ = parse_degree_list_csv(text)
     except FormatError as exc:
         print(f"{args.input}:{exc.line}: {exc.reason}", file=sys.stderr)
         return 1
-    _write_warnings(args.input, diags.warnings)
     try:
         aggregates = degree_census_aggregates(degrees)
     except ValueError as exc:

@@ -46,7 +46,8 @@ def pair_density(n: int, m: int, variant: str) -> float:
 
 
 class TwoModeNetwork:
-    """Affiliation structure: events (boards) holding sets of actors.
+    """Affiliation structure: events (boards) and actors, each seat stored
+    once, in its actor's set of events.
 
     Event and actor identifiers live in disjoint namespaces; the same token
     may name both an event and an actor.  Construction is single-writer;
@@ -57,9 +58,8 @@ class TwoModeNetwork:
     def __init__(self, *, casefold_actors: bool = False) -> None:
         self.casefold_actors = casefold_actors
         self._event_ids: dict[str, str] = {}  # raw token -> normalized id
-        self._event_labels: dict[str, str] = {}
-        # board of each event / events of each actor, in encounter order
-        self._members: dict[str, set[str]] = {}
+        # event id -> label / actor id -> its event ids, in encounter order
+        self._events: dict[str, str] = {}
         self._actor_events: dict[str, set[str]] = {}
 
     def add_event(self, event: str, label: str | None = None) -> str:
@@ -70,10 +70,9 @@ class TwoModeNetwork:
         eid = self._event_ids.get(event)
         if eid is None:
             eid = self._event_ids[event] = normalize_identifier(event)
-            if eid not in self._members:
-                self._members[eid] = set()
+            self._events.setdefault(eid, eid)
         if label is not None:
-            self._event_labels[eid] = label
+            self._events[eid] = label
         return eid
 
     def add_affiliation(self, event: str, actor: str) -> bool:
@@ -90,23 +89,21 @@ class TwoModeNetwork:
         elif eid in held:
             return False
         held.add(eid)
-        self._members[eid].add(aid)
         return True
 
     @property
     def events(self) -> tuple[str, ...]:
-        return tuple(self._members)
+        return tuple(self._events)
 
     @property
     def actors(self) -> tuple[str, ...]:
         return tuple(self._actor_events)
 
     def members(self, event: str) -> frozenset[str]:
-        """Board of ``event`` as a frozen set of actor ids."""
-        try:
-            return frozenset(self._members[event])
-        except KeyError:
-            raise ValueError(f"unknown event: {event!r}") from None
+        """Board of ``event`` as a frozen set of actor ids; O(actors)."""
+        if event not in self._events:
+            raise ValueError(f"unknown event: {event!r}")
+        return frozenset([aid for aid, held in self._actor_events.items() if event in held])
 
     def events_of(self, actor: str) -> frozenset[str]:
         """Events on whose boards ``actor`` sits."""
@@ -116,33 +113,29 @@ class TwoModeNetwork:
             raise ValueError(f"unknown actor: {actor!r}") from None
 
     def event_label(self, event: str) -> str:
-        if event not in self._members:
+        if event not in self._events:
             raise ValueError(f"unknown event: {event!r}")
-        return self._event_labels.get(event, event)
+        return self._events[event]
 
-    def seat_sets(self) -> tuple[Iterable[Set[str]], Iterable[Set[str]]]:
-        """Every board (event order) and every actor's events (actor order)
-        as stored, not copied; read-only."""
-        return self._members.values(), self._actor_events.values()
+    def holdings(self) -> Iterable[Set[str]]:
+        """Every actor's events, in actor order, as stored; read-only."""
+        return self._actor_events.values()
 
     def seats(self) -> int:
         """Total board seats (memberships counted once per event/actor pair)."""
-        return sum(len(board) for board in self._members.values())
+        return sum(map(len, self._actor_events.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwoModeNetwork):
             return NotImplemented
         return (
-            self.events == other.events
-            and self.actors == other.actors
-            and self._members == other._members
-            and {e: self.event_label(e) for e in self._members}
-            == {e: other.event_label(e) for e in other._members}
+            list(self._events.items()) == list(other._events.items())
+            and list(self._actor_events.items()) == list(other._actor_events.items())
         )
 
     def __repr__(self) -> str:
         return (
-            f"TwoModeNetwork(events={len(self._members)}, "
+            f"TwoModeNetwork(events={len(self._events)}, "
             f"actors={len(self._actor_events)}, seats={self.seats()})"
         )
 
@@ -216,7 +209,7 @@ class OneModeNetwork:
         i, j = self.index(u), self.index(v)
         if i == j:
             raise ValueError(f"self-loop rejected on {u!r}")
-        if not isinstance(value, int) or value < 1:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValueError(f"edge value must be a positive integer, got {value!r}")
         if j in self._rows[i]:
             raise ValueError(f"duplicate edge {u!r} - {v!r}")

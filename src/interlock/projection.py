@@ -35,11 +35,16 @@ def project_events(net: TwoModeNetwork) -> OneModeNetwork:
     Vertices keep event ingestion order, so downstream reports are
     deterministic.
     """
-    _, holdings = net.seat_sets()
-    return _project(net.events, net.event_label, holdings)
+    return _project(net.events, net.event_label, net.holdings())
 
 
 def project_actors(net: TwoModeNetwork) -> OneModeNetwork:
-    """Network of actors; a line's value counts the boards both sit on."""
-    boards, _ = net.seat_sets()
-    return _project(net.actors, lambda a: a, boards)
+    """Network of actors; a line's value counts the boards both sit on.
+
+    The boards are collected from the actors' holdings once, in O(seats).
+    """
+    boards: dict[str, list[str]] = {}
+    for actor, held in zip(net.actors, net.holdings()):
+        for event in held:
+            boards.setdefault(event, []).append(actor)
+    return _project(net.actors, lambda a: a, boards.values())

@@ -149,6 +149,16 @@ def brute_project_events(net: TwoModeNetwork) -> dict:
     return out
 
 
+def brute_project_actors(net: TwoModeNetwork) -> dict:
+    """Map of actor pair -> shared-event count, zero pairs omitted."""
+    out = {}
+    for a, b in combinations(net.actors, 2):
+        shared = len(net.events_of(a) & net.events_of(b))
+        if shared:
+            out[a, b] = shared
+    return out
+
+
 def brute_components(net: OneModeNetwork) -> list[set[str]]:
     """Weak components by iterated transitive closure."""
     reach = {v: {v} for v in net.vertices}
@@ -257,17 +267,16 @@ def rederive_aggregates(report) -> dict:
 
 
 def validate_two_mode(net: TwoModeNetwork) -> None:
-    """Cross-check the event-side and actor-side membership indexes."""
-    for eid, board in net._members.items():
-        for aid in board:
-            if eid not in net._actor_events.get(aid, ()):
-                raise ValueError(f"membership {eid!r}/{aid!r} missing on actor side")
-    for aid, evs in net._actor_events.items():
-        if not evs:
+    """Check the seat store: every actor holds a seat, and every held event
+    is a listed event."""
+    events = set(net.events)
+    for aid in net.actors:
+        held = net.events_of(aid)
+        if not held:
             raise ValueError(f"actor {aid!r} holds no seat")
-        for eid in evs:
-            if aid not in net._members.get(eid, ()):
-                raise ValueError(f"membership {eid!r}/{aid!r} missing on event side")
+        for eid in held:
+            if eid not in events:
+                raise ValueError(f"actor {aid!r} holds unlisted event {eid!r}")
 
 
 @dataclass
@@ -367,7 +376,7 @@ class PlainNetwork:
                 raise ValueError(f"unknown vertex: {x!r}")
         if u == v:
             raise ValueError(f"self-loop rejected on {u!r}")
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"edge value must be a positive integer, got {value!r}")
         if frozenset((u, v)) in self.lines:
             raise ValueError(f"duplicate edge {u!r} - {v!r}")

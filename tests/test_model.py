@@ -133,6 +133,9 @@ class TestOneModeNetwork:
             net.add_edge("A", "C", 1)
         with pytest.raises(ValueError):
             net.add_edge("A", "B", 0)
+        # a bool is an int, but no writer or reader takes "True" as a value
+        with pytest.raises(ValueError, match=r"^edge value must be a positive integer, got True$"):
+            net.add_edge("A", "B", True)
         net.add_edge("A", "B", 2)
         with pytest.raises(ValueError):
             net.add_edge("B", "A", 1)

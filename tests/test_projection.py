@@ -1,6 +1,8 @@
 import random
 
-from oracles import brute_project_events, random_two_mode
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_project_actors, brute_project_events, random_two_mode
 
 from interlock import TwoModeNetwork, project_actors, project_events
 
@@ -93,3 +95,14 @@ class TestAgainstBruteForce:
             after_net = project_events(two_mode)
             for (u, v), value in before.items():
                 assert after_net.value(u, v) >= value
+
+
+@settings(max_examples=200, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_actor_projection_matches_pairwise_intersection(rnd):
+    # the boards are collected from the actor store, not stored: check the
+    # collection against each actor pair's shared events
+    two_mode = random_two_mode(rnd)
+    projected = project_actors(two_mode)
+    assert projected.vertices == two_mode.actors
+    assert {(u, v): value for u, v, value in projected.edges()} == brute_project_actors(two_mode)

@@ -291,6 +291,23 @@ class TestCli:
         assert status == 2
         assert f"cannot write {target}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("position", ["--input", "--out", "--export-net"])
+    def test_nul_byte_in_a_path_exits_2(self, tmp_path, capsys, position):
+        # only a library caller can pass one: a command line cannot carry NUL
+        paths = {
+            "--input": str(data_path(TOY_BOARDS)),
+            "--out": str(tmp_path / "r.json"),
+            "--export-net": str(tmp_path / "g.net"),
+        }
+        paths[position] = str(tmp_path / "a\x00b")
+        assert run_analyze([arg for item in paths.items() for arg in item]) == 2
+        out, err = capsys.readouterr()
+        verb = "read" if position == "--input" else "write"
+        assert out == ""
+        assert err.startswith(f"cannot {verb} {paths[position]}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_paths_are_opened_and_named_as_pathlib_spells_them(
         self, tmp_path, monkeypatch, capsys
     ):
