@@ -22,16 +22,10 @@ from .io import (
     write_edge_list_csv,
     write_net_one_mode,
 )
-from .metrics import NetworkAggregates, degree_census_aggregates, network_aggregates
+from .metrics import CLOSENESS_VARIANTS, degree_census_aggregates, network_aggregates
+from .model import DENSITY_NO_LOOPS, DENSITY_VARIANTS
 from .projection import project_events
-from .report import (
-    SCHEMA_VERSION,
-    TABLE_KINDS,
-    _aggregates_json,
-    build_report,
-    render_table,
-    report_to_json,
-)
+from .report import TABLE_KINDS, build_report, render_table, report_to_json, stats_to_json
 
 
 def _slice_threshold(text: str) -> int:
@@ -68,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--closeness-variant",
-        choices=["paper", "component"],
+        choices=CLOSENESS_VARIANTS,
         default="paper",
         help=(
             "paper: plain reachable-count over distance-sum ratio; "
@@ -77,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--density-variant",
-        choices=["loops", "no-loops"],
-        default="no-loops",
+        choices=DENSITY_VARIANTS,
+        default=DENSITY_NO_LOOPS,
         help="denominator convention for per-component densities",
     )
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -120,27 +114,50 @@ def _emit(
     and the tables (to stdout); all or nothing.
 
     Every output is rendered before this is called.  When a write fails,
-    the failure is reported on stderr, the files this call already wrote
-    are removed again and nothing goes to stdout.
+    to a file or to stdout, the failure is reported on stderr and the
+    files this call already wrote are removed again; after a failed file
+    write nothing goes to stdout.
     """
     files = [(out, json_text), *exports] if out else list(exports)
     written: list[str] = []
+    failure = ""
     for path, text in files:
         target = _path(path)
         try:
             with open(target, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-            print(f"cannot write {path}: {exc}", file=sys.stderr)
-            for done in written:
-                try:
-                    os.unlink(done)
-                except FileNotFoundError:
-                    pass
-            return False
+            failure = f"cannot write {path}: {exc}"
+            break
         written.append(target)
-    sys.stdout.write(tables if out else json_text + tables)
-    return True
+    if not failure:
+        try:
+            sys.stdout.write(tables if out else json_text + tables)
+            sys.stdout.flush()
+            return True
+        except OSError as exc:  # a full device or a closed pipe
+            failure = f"cannot write stdout: {exc}"
+            _discard_stdout()
+    print(failure, file=sys.stderr)
+    for done in written:
+        try:
+            os.unlink(done)
+        except FileNotFoundError:
+            pass
+    return False
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    interpreter exit of what a failed write left buffered cannot fail again
+    (the recipe of the ``signal`` module's note on SIGPIPE)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # no descriptor behind the stream, or closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _write_warnings(source: str, warnings: Sequence[tuple[int, str]]) -> None:
@@ -150,12 +167,6 @@ def _write_warnings(source: str, warnings: Sequence[tuple[int, str]]) -> None:
         sys.stderr.write(
             "".join(f"{source}:{line}: warning: {message}\n" for line, message in warnings)
         )
-
-
-def _stats_json(aggregates: NetworkAggregates) -> str:
-    """The ``--stats-only`` document: the schema tag and the aggregates."""
-    aggregates_text = _aggregates_json(aggregates)
-    return f'{{\n  "schema": "{SCHEMA_VERSION}",\n  "aggregates": {aggregates_text}\n}}\n'
 
 
 def run_analyze(argv: list[str] | None = None) -> int:
@@ -201,7 +212,7 @@ def run_analyze(argv: list[str] | None = None) -> int:
 
     tables = ""
     if args.stats_only:
-        json_text = _stats_json(network_aggregates(net))
+        json_text = stats_to_json(network_aggregates(net))
     else:
         report = build_report(
             net,
@@ -260,7 +271,7 @@ def _run_degree_census(args: argparse.Namespace, text: str) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    return 0 if _emit(_stats_json(aggregates), args.out) else 2
+    return 0 if _emit(stats_to_json(aggregates), args.out) else 2
 
 
 def main() -> None:

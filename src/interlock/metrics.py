@@ -14,7 +14,14 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from math import fsum, sqrt
 
-from .model import DENSITY_LOOPS, DENSITY_NO_LOOPS, GraphView, OneModeNetwork, pair_density
+from .model import (
+    DENSITY_LOOPS,
+    DENSITY_NO_LOOPS,
+    GraphView,
+    OneModeNetwork,
+    check_variant,
+    pair_density,
+)
 
 CLOSENESS_VARIANTS = ("paper", "component")
 
@@ -207,8 +214,7 @@ def closeness_centrality(
     the vertex can reach, r/(n-1), so scores on small components shrink.
     Isolates score 0 under both variants.
     """
-    if variant not in CLOSENESS_VARIANTS:
-        raise ValueError(f"unknown closeness variant: {variant!r}")
+    check_variant("closeness", variant, CLOSENESS_VARIANTS)
     i = net.index(vertex)
     sums = path_sums(net)
     r = sums.reach[i]

@@ -12,6 +12,13 @@ from collections.abc import Iterable, Iterator, Mapping, Set
 
 DENSITY_NO_LOOPS = "no-loops"
 DENSITY_LOOPS = "loops"
+DENSITY_VARIANTS = (DENSITY_LOOPS, DENSITY_NO_LOOPS)
+
+
+def check_variant(kind: str, variant: str, variants: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` unless ``variant`` names one of ``variants``."""
+    if variant not in variants:
+        raise ValueError(f"unknown {kind} variant: {variant!r}")
 
 
 def normalize_identifier(raw: str, *, casefold: bool = False) -> str:
@@ -38,11 +45,10 @@ def pair_density(n: int, m: int, variant: str) -> float:
     ``no-loops`` uses the n(n-1)/2 unordered-pair maximum; ``loops`` uses
     n^2/2, which also counts self-pairs in the denominator.
     """
+    check_variant("density", variant, DENSITY_VARIANTS)
     if variant == DENSITY_NO_LOOPS:
         return 0.0 if n < 2 else 2.0 * m / (n * (n - 1))
-    if variant == DENSITY_LOOPS:
-        return 0.0 if n < 1 else 2.0 * m / (n * n)
-    raise ValueError(f"unknown density variant: {variant!r}")
+    return 0.0 if n < 1 else 2.0 * m / (n * n)
 
 
 class TwoModeNetwork:
@@ -293,25 +299,6 @@ class OneModeNetwork:
             for j in nbrs:
                 if j > i:
                     yield order[i], order[j], row[j]
-
-    def validate(self) -> None:
-        """Check symmetry, positive values, absence of loops, and the
-        handshake identity (degree sum equals twice the line count)."""
-        order = self.vertices
-        seen_pairs = set()
-        for i, row in enumerate(self._rows):
-            u = order[i]
-            for j, value in row.items():
-                v = order[j]
-                if i == j:
-                    raise ValueError(f"self-loop on {u!r}")
-                if value < 1:
-                    raise ValueError(f"non-positive value on {u!r} - {v!r}")
-                if self._rows[j].get(i) != value:
-                    raise ValueError(f"asymmetric line {u!r} - {v!r}")
-                seen_pairs.add(frozenset((i, j)))
-        if sum(self.degrees()) != 2 * len(seen_pairs):
-            raise ValueError("handshake identity violated")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OneModeNetwork):

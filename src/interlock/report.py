@@ -10,8 +10,14 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cohesion import line_multiplicity_distribution, slice_decomposition
-from .metrics import NetworkAggregates, degree_distribution, network_aggregates, vertex_metrics
-from .model import DENSITY_NO_LOOPS, OneModeNetwork
+from .metrics import (
+    CLOSENESS_VARIANTS,
+    NetworkAggregates,
+    degree_distribution,
+    network_aggregates,
+    vertex_metrics,
+)
+from .model import DENSITY_NO_LOOPS, DENSITY_VARIANTS, OneModeNetwork, check_variant
 
 SCHEMA_VERSION = "1"
 
@@ -44,7 +50,10 @@ def build_report(
     component_density_variant: str = DENSITY_NO_LOOPS,
 ) -> AnalysisReport:
     """Run metrics and cohesion over ``net``; slice thresholds are applied
-    in ascending order with duplicates dropped."""
+    in ascending order with duplicates dropped.  Both variant names are
+    checked before anything is computed."""
+    check_variant("closeness", closeness_variant, CLOSENESS_VARIANTS)
+    check_variant("density", component_density_variant, DENSITY_VARIANTS)
     return AnalysisReport(
         aggregates=network_aggregates(net),
         vertices=vertex_metrics(net, closeness_variant),
@@ -60,6 +69,7 @@ def build_report(
 
 
 def aggregates_to_dict(agg: NetworkAggregates) -> dict:
+    """The ``aggregates`` block, keys in document order."""
     return {
         "n": agg.n,
         "m": agg.m,
@@ -77,59 +87,6 @@ def aggregates_to_dict(agg: NetworkAggregates) -> dict:
     }
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    vertices = [
-        {
-            "index": pos,
-            "id": vm.vertex,
-            "label": vm.label,
-            "degree": vm.degree,
-            "normalizedDegree": vm.normalized_degree,
-            "closeness": vm.closeness,
-            "betweenness": vm.betweenness,
-            "ranks": {
-                "degree": vm.degree_rank,
-                "closeness": vm.closeness_rank,
-                "betweenness": vm.betweenness_rank,
-            },
-        }
-        for pos, vm in enumerate(report.vertices, start=1)
-    ]
-    return {
-        "schema": report.schema,
-        "options": {
-            "closenessVariant": report.closeness_variant,
-            "componentDensityVariant": report.component_density_variant,
-        },
-        "aggregates": aggregates_to_dict(report.aggregates),
-        "vertices": vertices,
-        "degreeDistribution": {
-            "rows": [list(row) for row in report.degree_distribution.rows],
-        },
-        "lineMultiplicity": {
-            "maxValue": report.line_multiplicity.max_value,
-            "rows": [list(row) for row in report.line_multiplicity.rows],
-        },
-        "slices": [
-            {
-                "m": sl.m,
-                "edgeCount": sl.network.edge_count,
-                "componentCount": len(sl.components),
-                "components": [
-                    {
-                        "members": list(comp.members),
-                        "size": comp.size,
-                        "edgeCount": comp.edge_count,
-                        "density": comp.density,
-                    }
-                    for comp in sl.components
-                ],
-            }
-            for sl in report.slices
-        ],
-    }
-
-
 # The string encoder ``json.dumps(..., ensure_ascii=False)`` uses, the C one
 # where CPython has it, taken without importing the ``json`` package.  With
 # ``indent`` json.dumps encodes everything else in pure Python, so the
@@ -140,10 +97,11 @@ except ImportError:
     from json.encoder import encode_basestring as _string
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Templates in the layout json.dumps(indent=2) gives the report: a vertex
-# sits two levels deep, a slice two and a slice component four.  Ints are
-# formatted by ``str.format`` (their ``repr``); floats, strings and arrays
-# arrive encoded.
+# The JSON documents' layout, the one place their keys are spelled (the
+# aggregates block's keys are in ``aggregates_to_dict``).  The templates
+# are indented as json.dumps(indent=2) indents: a vertex sits two levels
+# deep, a slice two and a slice component four.  Ints are formatted by
+# ``str.format`` (their ``repr``); floats, strings and arrays arrive encoded.
 _DOCUMENT = """{{
   "schema": {},
   "options": {{
@@ -160,6 +118,11 @@ _DOCUMENT = """{{
     "rows": {}
   }},
   "slices": {}
+}}
+"""
+_STATS = """{{
+  "schema": {},
+  "aggregates": {}
 }}
 """
 _VERTEX = """{{
@@ -226,8 +189,14 @@ def _aggregates_json(agg: NetworkAggregates) -> str:
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """``report_to_dict(report)`` as ``json.dumps(..., indent=2,
-    ensure_ascii=False)`` writes it, with a final newline."""
+    """The report as the ``_DOCUMENT`` text, with a final newline.
+
+    Keys keep the templates' order and nest with a two-space indent, as
+    ``json.dumps(..., indent=2, ensure_ascii=False)`` writes them.  Strings
+    are encoded by the ``json`` module's C string encoder, floats are
+    written as ``repr`` (or ``NaN``, ``Infinity``, ``-Infinity``) and a
+    missing figure as ``null``.
+    """
     vertices = [
         _VERTEX.format(
             pos,
@@ -274,6 +243,18 @@ def report_to_json(report: AnalysisReport) -> str:
         _rows(report.line_multiplicity.rows, 2),
         _array(slices, 1),
     )
+
+
+def report_to_dict(report: AnalysisReport) -> dict:
+    """The report as ``json.loads`` reads :func:`report_to_json`'s text."""
+    import json  # kept off the command line's import path
+
+    return json.loads(report_to_json(report))
+
+
+def stats_to_json(aggregates: NetworkAggregates) -> str:
+    """The ``--stats-only`` document: the schema tag and the aggregates."""
+    return _STATS.format(_string(SCHEMA_VERSION), _aggregates_json(aggregates))
 
 
 def _format_cell(value) -> str:

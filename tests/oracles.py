@@ -27,6 +27,7 @@ from interlock import (
     degree_stats,
     pair_density,
 )
+from interlock.report import aggregates_to_dict
 
 
 def simple_paths(net: OneModeNetwork, source: str, target: str):
@@ -203,7 +204,7 @@ def havel_hakimi_graph(degrees: list[int]) -> OneModeNetwork:
         remaining.sort(reverse=True)
     if any(d for d, _ in remaining):
         raise ValueError("degree sequence is not graphical")
-    net.validate()
+    validate_one_mode(net)
     return net
 
 
@@ -263,6 +264,82 @@ def rederive_aggregates(report) -> dict:
             fsum(best - b for b in betweenness) / (n - 1) if n >= 3 else 0.0
         ),
         "isolateCount": degrees.count(0),
+    }
+
+
+def validate_one_mode(net: OneModeNetwork) -> None:
+    """Check symmetry, positive values, absence of loops, and the
+    handshake identity (degree sum equals twice the line count)."""
+    order = net.vertices
+    seen_pairs = set()
+    for i, nbrs in enumerate(net.frozen().adjacency):
+        u = order[i]
+        for j in nbrs:
+            v = order[j]
+            if i == j:
+                raise ValueError(f"self-loop on {u!r}")
+            value = net.value(u, v)
+            if value < 1:
+                raise ValueError(f"non-positive value on {u!r} - {v!r}")
+            if net.value(v, u) != value:
+                raise ValueError(f"asymmetric line {u!r} - {v!r}")
+            seen_pairs.add(frozenset((i, j)))
+    if sum(net.degrees()) != 2 * len(seen_pairs):
+        raise ValueError("handshake identity violated")
+
+
+def reference_report_dict(report) -> dict:
+    """The JSON report as a plain dict built field by field, for
+    ``json.dumps(..., indent=2, ensure_ascii=False)`` to lay out."""
+    vertices = [
+        {
+            "index": pos,
+            "id": vm.vertex,
+            "label": vm.label,
+            "degree": vm.degree,
+            "normalizedDegree": vm.normalized_degree,
+            "closeness": vm.closeness,
+            "betweenness": vm.betweenness,
+            "ranks": {
+                "degree": vm.degree_rank,
+                "closeness": vm.closeness_rank,
+                "betweenness": vm.betweenness_rank,
+            },
+        }
+        for pos, vm in enumerate(report.vertices, start=1)
+    ]
+    return {
+        "schema": report.schema,
+        "options": {
+            "closenessVariant": report.closeness_variant,
+            "componentDensityVariant": report.component_density_variant,
+        },
+        "aggregates": aggregates_to_dict(report.aggregates),
+        "vertices": vertices,
+        "degreeDistribution": {
+            "rows": [list(row) for row in report.degree_distribution.rows],
+        },
+        "lineMultiplicity": {
+            "maxValue": report.line_multiplicity.max_value,
+            "rows": [list(row) for row in report.line_multiplicity.rows],
+        },
+        "slices": [
+            {
+                "m": sl.m,
+                "edgeCount": sl.network.edge_count,
+                "componentCount": len(sl.components),
+                "components": [
+                    {
+                        "members": list(comp.members),
+                        "size": comp.size,
+                        "edgeCount": comp.edge_count,
+                        "density": comp.density,
+                    }
+                    for comp in sl.components
+                ],
+            }
+            for sl in report.slices
+        ],
     }
 
 

@@ -15,6 +15,7 @@ from oracles import (
     havel_hakimi_graph,
     random_one_mode,
     random_two_mode,
+    validate_one_mode,
 )
 
 from interlock import (
@@ -234,7 +235,7 @@ def test_criterion_8_structural_invariants():
     for i in range(200):
         net = random_one_mode(rng, max_n=8, max_value=5)
         try:
-            net.validate()
+            validate_one_mode(net)
         except ValueError as exc:
             failures.append(f"handshake/validate on instance {i}: {exc}")
         if sum(net.degrees()) != 2 * net.edge_count:

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_components, random_one_mode
+from oracles import brute_components, random_one_mode, validate_one_mode
 
 from interlock import (
     OneModeNetwork,
@@ -87,7 +87,7 @@ class TestMSlice:
                     if value >= m:
                         want.add_edge(u, v, value)
                 sliced = m_slice(net, m)
-                sliced.validate()
+                validate_one_mode(sliced)
                 assert sliced == want
                 assert list(sliced.edges()) == list(want.edges())
                 sliced.add_vertex("extra")

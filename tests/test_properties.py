@@ -5,6 +5,8 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import validate_one_mode
+
 from interlock import (
     OneModeNetwork,
     TwoModeNetwork,
@@ -62,7 +64,7 @@ def two_mode_nets(draw, max_events: int = 6, max_actors: int = 8) -> TwoModeNetw
 @given(two_mode_nets())
 def test_projection_satisfies_handshake_identity(two_mode):
     net = project_events(two_mode)
-    net.validate()
+    validate_one_mode(net)
     assert sum(net.degrees()) == 2 * net.edge_count
 
 

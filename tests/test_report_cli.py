@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import rederive_aggregates
+from oracles import rederive_aggregates, reference_report_dict
 
 from interlock import (
     AnalysisReport,
@@ -112,6 +115,19 @@ class TestToyPipeline:
         assert doc["schema"] == "1"
         assert doc["aggregates"]["densityNote"]
         assert {"densityNoLoops", "densityLoopsAllowed"} <= set(doc["aggregates"])
+
+    @pytest.mark.parametrize(
+        "net, option, message",
+        [
+            # no slice asked for, no vertex to score: nothing downstream reads the name
+            (OneModeNetwork(["a", "b"]), "component_density_variant", "unknown density variant"),
+            (OneModeNetwork(), "closeness_variant", "unknown closeness variant"),
+        ],
+        ids=["density", "closeness"],
+    )
+    def test_unknown_variant_is_rejected_up_front(self, net, option, message):
+        with pytest.raises(ValueError, match=f"^{message}: 'bogus'$"):
+            build_report(net, **{option: "bogus"})
 
 
 class TestRenderTable:
@@ -250,8 +266,9 @@ _REPORT = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(report=_REPORT)
 def test_json_writer_matches_json_dumps(report):
-    want = json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+    want = json.dumps(reference_report_dict(report), indent=2, ensure_ascii=False) + "\n"
     assert report_to_json(report) == want
+    assert json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n" == want
 
 
 class TestCli:
@@ -365,6 +382,59 @@ class TestCli:
         assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv"]
 
+    def test_failed_stdout_write_exits_2_and_removes_the_report(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        out = tmp_path / "report.json"
+        status = run_analyze(["--input", str(data_path(TOY_BOARDS)), "--out", str(out), "--tables"])
+        assert status == 2
+        assert capsys.readouterr().err == "cannot write stdout: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _run_cli_into(stdout, flags):
+        """Run the CLI in a child interpreter with default (block-buffered)
+        stdout, so that bytes a failed flush left buffered are flushed again
+        at exit."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run(
+            [sys.executable, "-m", "interlock.cli", "--input", str(data_path(TOY_BOARDS)), *flags],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": src},
+            text=True,
+            timeout=60,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("flags", [[], ["--stats-only"]])
+    def test_stdout_on_a_full_device_exits_2_without_traceback(self, flags):
+        with open("/dev/full", "w") as full:
+            done = self._run_cli_into(full, flags)
+        assert (done.returncode, done.stderr) == (
+            2,
+            "cannot write stdout: [Errno 28] No space left on device\n",
+        )
+
+    @pytest.mark.parametrize("flags", [[], ["--stats-only"]])
+    def test_stdout_to_a_closed_pipe_exits_2_without_traceback(self, flags):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self._run_cli_into(write_end, flags)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, "cannot write stdout: [Errno 32] Broken pipe\n")
+
     def test_failed_write_removes_earlier_outputs(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         target = tmp_path / "missing" / "x.net"
@@ -416,7 +486,7 @@ class TestCli:
         )
         assert status == 2
 
-    def test_stats_only_on_affiliations(self, capsys):
+    def test_stats_only_on_affiliations(self, toy_net, capsys):
         status = run_analyze(
             ["--input", str(data_path(TOY_BOARDS)), "--stats-only"]
         )
@@ -424,6 +494,9 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["aggregates"]["degreeCentralization"] == pytest.approx(0.4)
         assert "vertices" not in doc
+        # the same aggregates block as the full report's, keys in the same order
+        want = {"schema": "1", "aggregates": report_to_dict(build_report(toy_net))["aggregates"]}
+        assert json.dumps(doc) == json.dumps(want)
 
     def test_tables_flag_prints_three_tables(self, capsys):
         status = run_analyze(["--input", str(data_path(TOY_BOARDS)), "--tables"])
