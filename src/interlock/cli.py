@@ -104,55 +104,57 @@ def _path(name: str) -> str:
     return root + "/".join(part for part in stripped.split("/") if part not in ("", ".")) or "."
 
 
+class _Failure(Exception):
+    """Ends a run early; ``args`` are its exit status and its stderr line."""
+
+
 def _emit(
     json_text: str,
     out: str | None,
     exports: Sequence[tuple[str, str]] = (),
     tables: str = "",
-) -> bool:
+) -> None:
     """Write the JSON report (to ``out``, else stdout), the rendered exports
     and the tables (to stdout); all or nothing.
 
     Every output is rendered before this is called.  When a write fails,
-    to a file or to stdout, the failure is reported on stderr and the
-    files this call already wrote are removed again; after a failed file
+    to a file or to stdout, the regular files this call already wrote are
+    removed again and :class:`_Failure` is raised; after a failed file
     write nothing goes to stdout.
     """
     files = [(out, json_text), *exports] if out else list(exports)
     written: list[str] = []
-    failure = ""
-    for path, text in files:
-        target = _path(path)
-        try:
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-            failure = f"cannot write {path}: {exc}"
-            break
-        written.append(target)
-    if not failure:
+    try:
+        for path, text in files:
+            target = _path(path)
+            try:
+                with open(target, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+                raise _Failure(2, f"cannot write {path}: {exc}")
+            if os.path.isfile(target):  # never remove a device such as /dev/null
+                written.append(target)
         try:
             sys.stdout.write(tables if out else json_text + tables)
             sys.stdout.flush()
-            return True
         except OSError as exc:  # a full device or a closed pipe
-            failure = f"cannot write stdout: {exc}"
-            _discard_stdout()
-    print(failure, file=sys.stderr)
-    for done in written:
-        try:
-            os.unlink(done)
-        except FileNotFoundError:
-            pass
-    return False
+            _discard(sys.stdout)
+            raise _Failure(2, f"cannot write stdout: {exc}")
+    except _Failure:
+        for done in written:
+            try:
+                os.unlink(done)
+            except FileNotFoundError:
+                pass
+        raise
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at the null device, so that the flush at
-    interpreter exit of what a failed write left buffered cannot fail again
-    (the recipe of the ``signal`` module's note on SIGPIPE)."""
+def _discard(stream) -> None:
+    """Point a failed stream's descriptor at the null device, so that the
+    flush at interpreter exit of what the failed write left buffered cannot
+    fail again (the recipe of the ``signal`` module's note on SIGPIPE)."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, ValueError):  # no descriptor behind the stream, or closed
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -160,54 +162,60 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def _write_warnings(source: str, warnings: Sequence[tuple[int, str]]) -> None:
-    """Parse warnings to stderr as ``SOURCE:LINE: warning: MESSAGE`` lines,
-    in one write."""
-    if warnings:
-        sys.stderr.write(
-            "".join(f"{source}:{line}: warning: {message}\n" for line, message in warnings)
-        )
+def _write_stderr(text: str) -> bool:
+    """Write ``text`` to stderr and flush it; False when that failed."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+        return True
+    except OSError:
+        _discard(sys.stderr)
+        return False
 
 
 def run_analyze(argv: list[str] | None = None) -> int:
-    """Run the pipeline; returns the process exit status."""
-    parser = build_parser()
+    """Run the pipeline; returns the process exit status.  Every failure ends
+    here as its status and one stderr line, which is lost if it cannot be written."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage
-        return int(exc.code or 0)
+        status, message = int(exc.code or 0), ""
+    except OSError:  # argparse could not write its usage message
+        status, message = 2, ""
+    else:
+        try:
+            _analyze(args)
+            return 0
+        except FormatError as exc:
+            status, message = 1, f"{args.input}:{exc.line}: {exc.reason}\n"
+        except _Failure as exc:
+            status, message = exc.args[0], exc.args[1] + "\n"
+    _write_stderr(message)  # flushes what argparse wrote, too
+    return status
 
+
+def _analyze(args: argparse.Namespace) -> None:
+    """Read, parse, measure and write; a failure raises."""
     path = _path(args.input)
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read().removeprefix("\ufeff")  # a BOM, as Windows tools write
     except FileNotFoundError:
-        print(f"no such input: {args.input}", file=sys.stderr)
-        return 2
+        raise _Failure(2, f"no such input: {args.input}")
     except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the name
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
+        raise _Failure(2, f"cannot read {args.input}: {exc}")
 
     # the suffix as pathlib reads it: a name's leading dot does not start one
     name = path.rpartition("/")[2]
     dot = name.rfind(".")
     fmt = args.format or ("net" if dot > 0 and name[dot:].lower() == ".net" else "csv")
-    try:
-        if fmt == "csv" and csv_kind(text) == "degrees":
-            return _run_degree_census(args, text)
-        if fmt == "net":
-            two_mode, diags = parse_net_two_mode(
-                text, casefold_actors=args.normalize_names
-            )
-        else:
-            two_mode, diags = parse_csv_affiliations(
-                text, casefold_actors=args.normalize_names
-            )
-    except FormatError as exc:
-        print(f"{args.input}:{exc.line}: {exc.reason}", file=sys.stderr)
-        return 1
-
-    _write_warnings(args.input, diags.warnings)
+    if fmt == "csv" and csv_kind(text) == "degrees":
+        return _run_degree_census(args, text)
+    parse = parse_net_two_mode if fmt == "net" else parse_csv_affiliations
+    two_mode, diags = parse(text, casefold_actors=args.normalize_names)
+    warnings = "".join(f"{args.input}:{no}: warning: {why}\n" for no, why in diags.warnings)
+    if warnings and not _write_stderr(warnings):  # before any output, all or nothing
+        raise _Failure(2, "cannot write stderr")
     net = project_events(two_mode)
 
     tables = ""
@@ -234,16 +242,14 @@ def run_analyze(argv: list[str] | None = None) -> int:
             try:
                 exports.append((target, render(net)))
             except ValueError as exc:  # a label the format cannot carry
-                print(f"cannot export {target}: {exc}", file=sys.stderr)
-                return 1
-    return 0 if _emit(json_text, args.out, exports, tables) else 2
+                raise _Failure(1, f"cannot export {target}: {exc}")
+    _emit(json_text, args.out, exports, tables)
 
 
-def _run_degree_census(args: argparse.Namespace, text: str) -> int:
+def _run_degree_census(args: argparse.Namespace, text: str) -> None:
     """Handle a degree-census CSV, which supports only --stats-only."""
     if not args.stats_only:
-        print("degree-census input requires --stats-only", file=sys.stderr)
-        return 2
+        raise _Failure(2, "degree-census input requires --stats-only")
     unusable = [
         flag
         for flag, value in (
@@ -256,22 +262,13 @@ def _run_degree_census(args: argparse.Namespace, text: str) -> int:
         if value
     ]
     if unusable:
-        print(
-            f"{', '.join(unusable)} not available for degree-census input",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        degrees, _ = parse_degree_list_csv(text)
-    except FormatError as exc:
-        print(f"{args.input}:{exc.line}: {exc.reason}", file=sys.stderr)
-        return 1
+        raise _Failure(2, f"{', '.join(unusable)} not available for degree-census input")
+    degrees, _ = parse_degree_list_csv(text)
     try:
         aggregates = degree_census_aggregates(degrees)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    return 0 if _emit(stats_to_json(aggregates), args.out) else 2
+        raise _Failure(1, str(exc))
+    _emit(stats_to_json(aggregates), args.out)
 
 
 def main() -> None:

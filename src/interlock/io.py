@@ -12,7 +12,7 @@ import csv
 import io
 import re
 
-from .model import OneModeNetwork, TwoModeNetwork
+from .model import OneModeNetwork, TwoModeNetwork, normalize_identifier
 
 
 class FormatError(ValueError):
@@ -220,20 +220,22 @@ def parse_net_two_mode(
         seen_events.add(eid)
 
     defined_actors = sorted(i for i in names if i > n_events)
-    # An undefined actor is named by its number, so it can clash only with a
-    # defined actor whose label reads as that number; no other is checked.
+    # Actors are told apart by their trimmed NFC id, as the network merges
+    # them (a blank label is handled where it is used).  An undefined actor is
+    # named by its number, so it can clash only with an id reading as that.
+    ids = {
+        i: normalize_identifier(names[i]) if names[i].strip() else names[i]
+        for i in defined_actors
+    }
     digits = len(str(n))
-    numbered = (
-        int(label)
-        for label in map(names.get, defined_actors)
-        if label.isdecimal() and len(label) <= digits
-    )
+    numbered = (int(aid) for aid in ids.values() if aid.isdecimal() and len(aid) <= digits)
     seen_actors: set[str] = set()
     for i in sorted({*defined_actors, *(k for k in numbered if n_events < k <= n)}):
-        label = _vertex_name(names, i)
-        if label in seen_actors:
+        aid = ids.get(i, str(i))
+        if aid in seen_actors:
+            label = _vertex_name(names, i)
             raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
-        seen_actors.add(label)
+        seen_actors.add(aid)
 
     linked_actors: set[int] = set()
     for no, line in edge_lines:

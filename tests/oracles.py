@@ -27,7 +27,7 @@ from interlock import (
     degree_stats,
     pair_density,
 )
-from interlock.report import aggregates_to_dict
+from interlock.report import DENSITY_NOTE
 
 
 def simple_paths(net: OneModeNetwork, source: str, target: str):
@@ -308,13 +308,28 @@ def reference_report_dict(report) -> dict:
         }
         for pos, vm in enumerate(report.vertices, start=1)
     ]
+    agg = report.aggregates
     return {
         "schema": report.schema,
         "options": {
             "closenessVariant": report.closeness_variant,
             "componentDensityVariant": report.component_density_variant,
         },
-        "aggregates": aggregates_to_dict(report.aggregates),
+        "aggregates": {
+            "n": agg.n,
+            "m": agg.m,
+            "densityNoLoops": agg.density_no_loops,
+            "densityLoopsAllowed": agg.density_loops_allowed,
+            "densityNote": DENSITY_NOTE,
+            "meanDegree": agg.mean_degree,
+            "medianDegree": agg.median_degree,
+            "sdDegreePopulation": agg.sd_degree_population,
+            "degreeCentralization": agg.degree_centralization,
+            "betweennessCentralization": agg.betweenness_centralization,
+            "closenessCentralization": agg.closeness_centralization,
+            "componentCount": agg.component_count,
+            "isolateCount": agg.isolate_count,
+        },
         "vertices": vertices,
         "degreeDistribution": {
             "rows": [list(row) for row in report.degree_distribution.rows],

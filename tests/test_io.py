@@ -180,6 +180,25 @@ class TestParseNetTwoMode:
             f'*Vertices 4 1\n1 "J1"\n2 "03"\n4 "{"9" * 5000}"\n*Edges\n1 2\n1 3\n'
         )
         assert net.actors == ("03", "3")
+        # labels are judged on their trimmed NFC id, as the network merges them
+        for text, line, label in (
+            ('*Vertices 4 2\n1 "J1"\n2 "J2"\n3 " X"\n4 "X"\n*Edges\n1 3\n2 4\n', 5, "X"),
+            ('*Vertices 4 2\n1 "J1"\n2 "J2"\n3 "X"\n4 "X "\n*Edges\n1 3\n2 4\n', 5, "X "),
+            # a decomposed and a composed e-acute
+            (
+                '*Vertices 4 2\n1 "J"\n2 "K"\n3 "e\u0301"\n4 "\u00e9"\n*Edges\n1 3\n2 4\n',
+                5,
+                "\u00e9",
+            ),
+            ('*Vertices 4 1\n1 "J"\n2 " 4"\n*Edges\n1 2\n1 4\n', 1, "4"),
+        ):
+            with pytest.raises(FormatError) as err:
+                parse_net_two_mode(text)
+            assert (err.value.line, err.value.reason) == (line, f"duplicate actor label {label!r}")
+        # case variants are two actors unless names are case-folded
+        text = '*Vertices 4 2\n1 "J1"\n2 "J2"\n3 "x"\n4 "X"\n*Edges\n1 3\n2 4\n'
+        assert parse_net_two_mode(text)[0].actors == ("x", "X")
+        assert parse_net_two_mode(text, casefold_actors=True)[0].actors == ("x",)
 
     def test_numbers_int_cannot_read_are_rejected(self):
         for text in (

@@ -271,6 +271,19 @@ def test_json_writer_matches_json_dumps(report):
     assert json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n" == want
 
 
+# Runs whose stderr cannot be written: a parse error, a missing input, an
+# impossible census, an unexportable label, warnings before a report, and
+# a usage error.
+_DEAD_STDERR = {
+    "parse-error": ("bad.csv", "actor,event\nonly-one-field\n", [], 1),
+    "missing-input": (None, "", [], 2),
+    "census": ("census.csv", "journal,degree\nj0,1\nj1,2\n", ["--stats-only"], 1),
+    "export": ("q.csv", 'actor,event\na,"J ""1"""\n', ["--export-net", "q.net"], 1),
+    "warnings": ("dup.csv", "actor,event\na,J1\na,J1\nb,J2\n", ["--out", "r.json"], 2),
+    "usage": (None, "", ["--slice", "0"], 2),
+}
+
+
 class TestCli:
     def test_happy_path_with_exports(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -400,16 +413,18 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @staticmethod
-    def _run_cli_into(stdout, flags):
+    def _run_cli_into(stdout, flags, stderr=subprocess.PIPE):
         """Run the CLI in a child interpreter with default (block-buffered)
         stdout, so that bytes a failed flush left buffered are flushed again
-        at exit."""
+        at exit.  Without an ``--input`` in ``flags`` the toy boards are read."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if "--input" not in flags:
+            flags = ["--input", str(data_path(TOY_BOARDS)), *flags]
         return subprocess.run(
-            [sys.executable, "-m", "interlock.cli", "--input", str(data_path(TOY_BOARDS)), *flags],
+            [sys.executable, "-m", "interlock.cli", *flags],
             stdout=stdout,
-            stderr=subprocess.PIPE,
+            stderr=stderr,
             env={**env, "PYTHONPATH": src},
             text=True,
             timeout=60,
@@ -435,6 +450,42 @@ class TestCli:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (2, "cannot write stdout: [Errno 32] Broken pipe\n")
 
+    @staticmethod
+    def _dead_stderr_argv(folder, name, text, flags):
+        if name:
+            (folder / name).write_text(text, encoding="utf-8")
+        return ["--input", str(folder / (name or "missing.csv")), *flags]
+
+    @pytest.mark.parametrize("case", list(_DEAD_STDERR))
+    def test_a_message_that_cannot_be_written_keeps_its_status(
+        self, tmp_path, monkeypatch, capsys, case
+    ):
+        class DeadStderr:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                pass
+
+        name, text, flags, status = _DEAD_STDERR[case]
+        monkeypatch.chdir(tmp_path)
+        argv = self._dead_stderr_argv(tmp_path, name, text, flags)
+        monkeypatch.setattr(sys, "stderr", DeadStderr())
+        assert run_analyze(argv) == status
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ([name] if name else [])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("case", ["parse-error", "missing-input", "warnings", "usage"])
+    def test_stderr_on_a_full_device_keeps_the_status_without_exit_120(self, tmp_path, case):
+        name, text, flags, status = _DEAD_STDERR[case]
+        argv = self._dead_stderr_argv(tmp_path, name, text, flags)
+        argv = [str(tmp_path / a) if a == "r.json" else a for a in argv]
+        with open("/dev/full", "w") as full:
+            done = self._run_cli_into(subprocess.PIPE, argv, stderr=full)
+        assert (done.returncode, done.stdout) == (status, "")
+        assert [p.name for p in tmp_path.iterdir()] == ([name] if name else [])
+
     def test_failed_write_removes_earlier_outputs(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         target = tmp_path / "missing" / "x.net"
@@ -444,6 +495,16 @@ class TestCli:
         assert status == 2
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    def test_failed_write_never_removes_a_device(self, tmp_path, monkeypatch, capsys):
+        removed = []
+        # recorded, not done: a regression here must not delete the device
+        monkeypatch.setattr(os, "unlink", removed.append)
+        edges = tmp_path / "edges.csv"
+        argv = ["--input", str(data_path(TOY_BOARDS)), "--out", os.devnull]
+        argv += ["--export-csv", str(edges), "--export-dot", str(tmp_path / "missing" / "x.dot")]
+        assert run_analyze(argv) == 2
+        assert removed == [str(edges)]
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run_analyze(["--input", "x.csv", "--frobnicate"]) == 2
@@ -607,6 +668,44 @@ class TestCli:
         assert run_analyze(["--input", str(boards), "--stats-only"]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"{boards}:3: duplicate event label 'J'\n")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (
+                '*Vertices 4 2\n1 "J1"\n2 "J2"\n3 " X"\n4 "X"\n*Edges\n1 3\n2 4\n',
+                "5: duplicate actor label 'X'",
+            ),
+            # undefined actor 4 is named "4", which actor 2's label trims to
+            ('*Vertices 4 1\n1 "J"\n2 " 4"\n*Edges\n1 2\n1 4\n', "1: duplicate actor label '4'"),
+        ],
+        ids=["trimmed", "undefined"],
+    )
+    def test_net_actor_labels_normalizing_alike_exit_1(self, tmp_path, capsys, text, reason):
+        boards = tmp_path / "boards.net"
+        boards.write_text(text, encoding="utf-8")
+        assert run_analyze(["--input", str(boards), "--stats-only"]) == 1
+        assert capsys.readouterr() == ("", f"{boards}:{reason}\n")
+
+    @pytest.mark.parametrize(
+        "name, text, flags",
+        [
+            ("boards.csv", "actor,event\na,J1\nb,J1\nb,J2\n", ["--tables"]),
+            ("boards.net", '*Vertices 3 2\n1 "J1"\n2 "J2"\n3 "a"\n*Edges\n1 3\n2 3\n', []),
+            ("census.csv", "degree,journal\n1,j1\n1,j2\n", ["--stats-only"]),
+        ],
+        ids=["csv", "net", "census"],
+    )
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, name, text, flags):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        for folder, prefix in ((plain, ""), (marked, "\ufeff")):
+            folder.mkdir()
+            (folder / name).write_text(prefix + text, encoding="utf-8")
+        assert run_analyze(["--input", str(plain / name), *flags]) == 0
+        want = capsys.readouterr()
+        assert run_analyze(["--input", str(marked / name), *flags]) == 0
+        assert capsys.readouterr() == want
+        assert want.out and want.err == ""
 
     def test_huge_declared_net_header_costs_what_the_file_holds(self, tmp_path, capsys):
         boards = tmp_path / "boards.net"
