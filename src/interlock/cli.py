@@ -32,6 +32,8 @@ def _slice_threshold(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        if (text[1:] if text[:1] in ("+", "-") else text).isdecimal():  # more than int reads
+            raise argparse.ArgumentTypeError(f"number too long: {len(text)} characters") from None
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("slice threshold must be at least 1")
@@ -134,12 +136,9 @@ def _emit(
                 raise _Failure(2, f"cannot write {path}: {exc}")
             if os.path.isfile(target):  # never remove a device such as /dev/null
                 written.append(target)
-        try:
-            sys.stdout.write(tables if out else json_text + tables)
-            sys.stdout.flush()
-        except OSError as exc:  # a full device or a closed pipe
-            _discard(sys.stdout)
-            raise _Failure(2, f"cannot write stdout: {exc}")
+        error = _write(sys.stdout, tables if out else json_text + tables)
+        if error:  # a full device or a closed pipe
+            raise _Failure(2, f"cannot write stdout: {error}")
     except _Failure:
         for done in written:
             try:
@@ -149,28 +148,24 @@ def _emit(
         raise
 
 
-def _discard(stream) -> None:
-    """Point a failed stream's descriptor at the null device, so that the
-    flush at interpreter exit of what the failed write left buffered cannot
-    fail again (the recipe of the ``signal`` module's note on SIGPIPE)."""
+def _write(stream, text: str) -> OSError | None:
+    """Write ``text`` to ``stream`` and flush it; the error when that failed.
+    A failed stream's descriptor is then pointed at the null device, so that
+    the flush at interpreter exit of what the failed write left buffered
+    cannot fail again (the recipe of the ``signal`` module's note on SIGPIPE)."""
     try:
-        fd = stream.fileno()
-    except (AttributeError, ValueError):  # no descriptor behind the stream, or closed
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
-
-
-def _write_stderr(text: str) -> bool:
-    """Write ``text`` to stderr and flush it; False when that failed."""
-    try:
-        sys.stderr.write(text)
-        sys.stderr.flush()
-        return True
-    except OSError:
-        _discard(sys.stderr)
-        return False
+        stream.write(text)
+        stream.flush()
+        return None
+    except OSError as exc:
+        try:
+            fd = stream.fileno()
+        except (AttributeError, ValueError):  # no descriptor behind the stream, or closed
+            return exc
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return exc
 
 
 def run_analyze(argv: list[str] | None = None) -> int:
@@ -178,10 +173,10 @@ def run_analyze(argv: list[str] | None = None) -> int:
     here as its status and one stderr line, which is lost if it cannot be written."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage
-        status, message = int(exc.code or 0), ""
-    except OSError:  # argparse could not write its usage message
-        status, message = 2, ""
+    except (SystemExit, OSError) as exc:  # argparse wrote help or usage (3.10: or failed to)
+        error = _write(sys.stdout, "")  # flushes the help, as _emit does the report
+        status = 2 if error or isinstance(exc, OSError) else int(exc.code or 0)
+        message = f"cannot write stdout: {error}\n" if error else ""
     else:
         try:
             _analyze(args)
@@ -190,7 +185,7 @@ def run_analyze(argv: list[str] | None = None) -> int:
             status, message = 1, f"{args.input}:{exc.line}: {exc.reason}\n"
         except _Failure as exc:
             status, message = exc.args[0], exc.args[1] + "\n"
-    _write_stderr(message)  # flushes what argparse wrote, too
+    _write(sys.stderr, message)  # flushes what argparse wrote, too
     return status
 
 
@@ -214,7 +209,7 @@ def _analyze(args: argparse.Namespace) -> None:
     parse = parse_net_two_mode if fmt == "net" else parse_csv_affiliations
     two_mode, diags = parse(text, casefold_actors=args.normalize_names)
     warnings = "".join(f"{args.input}:{no}: warning: {why}\n" for no, why in diags.warnings)
-    if warnings and not _write_stderr(warnings):  # before any output, all or nothing
+    if warnings and _write(sys.stderr, warnings):  # before any output, all or nothing
         raise _Failure(2, "cannot write stderr")
     net = project_events(two_mode)
 

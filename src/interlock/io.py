@@ -1,7 +1,8 @@
 """Readers and writers for affiliation and one-mode network files.
 
 Supported inputs: membership CSV (``actor,event`` header, either column
-order) and two-mode NET files.  Supported outputs for one-mode networks:
+order), degree-census CSV (a header with a ``degree`` column), two-mode
+NET and one-mode NET files.  Supported outputs for one-mode networks:
 NET, edge-list CSV, and DOT.  All text is UTF-8 with ``\\n`` line ends;
 every parse rejection carries the offending line number.
 """

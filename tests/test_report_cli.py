@@ -32,7 +32,7 @@ from interlock import (
     report_to_dict,
     report_to_json,
 )
-from interlock.cli import run_analyze
+from interlock.cli import build_parser, run_analyze
 from interlock.data import TABLE2_DEGREES, TOY_BOARDS, data_path, load_text
 
 
@@ -284,6 +284,16 @@ _DEAD_STDERR = {
 }
 
 
+class _FullStream:
+    """A standard stream on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
 class TestCli:
     def test_happy_path_with_exports(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -398,14 +408,7 @@ class TestCli:
     def test_failed_stdout_write_exits_2_and_removes_the_report(
         self, tmp_path, monkeypatch, capsys
     ):
-        class FullStdout:
-            def write(self, text):
-                raise OSError(28, "No space left on device")
-
-            def flush(self):
-                pass
-
-        monkeypatch.setattr(sys, "stdout", FullStdout())
+        monkeypatch.setattr(sys, "stdout", _FullStream())
         out = tmp_path / "report.json"
         status = run_analyze(["--input", str(data_path(TOY_BOARDS)), "--out", str(out), "--tables"])
         assert status == 2
@@ -431,7 +434,7 @@ class TestCli:
         )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    @pytest.mark.parametrize("flags", [[], ["--stats-only"]])
+    @pytest.mark.parametrize("flags", [[], ["--stats-only"], ["--help"]])
     def test_stdout_on_a_full_device_exits_2_without_traceback(self, flags):
         with open("/dev/full", "w") as full:
             done = self._run_cli_into(full, flags)
@@ -440,7 +443,7 @@ class TestCli:
             "cannot write stdout: [Errno 28] No space left on device\n",
         )
 
-    @pytest.mark.parametrize("flags", [[], ["--stats-only"]])
+    @pytest.mark.parametrize("flags", [[], ["--stats-only"], ["--help"]])
     def test_stdout_to_a_closed_pipe_exits_2_without_traceback(self, flags):
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -449,6 +452,15 @@ class TestCli:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (2, "cannot write stdout: [Errno 32] Broken pipe\n")
+
+    def test_help_that_cannot_be_written_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _FullStream())
+        assert run_analyze(["--help"]) == 2
+        assert capsys.readouterr().err == "cannot write stdout: [Errno 28] No space left on device\n"
+
+    def test_help_is_written_to_stdout(self, capsys):
+        assert run_analyze(["--help"]) == 0
+        assert capsys.readouterr() == (build_parser().format_help(), "")
 
     @staticmethod
     def _dead_stderr_argv(folder, name, text, flags):
@@ -460,17 +472,10 @@ class TestCli:
     def test_a_message_that_cannot_be_written_keeps_its_status(
         self, tmp_path, monkeypatch, capsys, case
     ):
-        class DeadStderr:
-            def write(self, text):
-                raise OSError(28, "No space left on device")
-
-            def flush(self):
-                pass
-
         name, text, flags, status = _DEAD_STDERR[case]
         monkeypatch.chdir(tmp_path)
         argv = self._dead_stderr_argv(tmp_path, name, text, flags)
-        monkeypatch.setattr(sys, "stderr", DeadStderr())
+        monkeypatch.setattr(sys, "stderr", _FullStream())
         assert run_analyze(argv) == status
         assert capsys.readouterr().out == ""
         assert [p.name for p in tmp_path.iterdir()] == ([name] if name else [])
@@ -801,6 +806,25 @@ class TestCli:
 
     def test_slice_flag_rejects_zero(self, capsys):
         assert run_analyze(["--input", "x.csv", "--slice", "0"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --slice: slice threshold must be at least 1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("x", "not an integer: 'x'"),
+            ("--1", "not an integer: '--1'"),
+            ("9" * 5000, "number too long: 5000 characters"),
+            ("-" + "9" * 4400, "number too long: 4401 characters"),
+        ],
+        ids=["word", "two-signs", "5000-digits", "signed-4400-digits"],
+    )
+    def test_slice_flag_says_why_a_value_is_rejected(self, capsys, value, reason):
+        assert run_analyze(["--input", "x.csv", f"--slice={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"interlock-analyze: error: argument --slice: {reason}"
+        assert len(err.encode()) < 1024
 
 
 # Inputs shaped like the two formats, in which any token may be swapped for
@@ -821,6 +845,16 @@ _ODD_CELLS = st.one_of(
 def _slot(draw, valid, odd):
     """``valid`` about nine times in ten, else a draw from ``odd``."""
     return draw(odd) if draw(st.integers(0, 9)) == 9 else valid
+
+
+@st.composite
+def _slice_args(draw):
+    """A threshold from 1 to 3 about nine times in ten, else one argparse
+    rejects or a 4300- to 5000-digit number (``int`` reads up to 4300)."""
+    odd = st.one_of(
+        st.sampled_from(["0", "-1", "x"]), st.integers(4300, 5000).map(lambda k: "9" * k)
+    )
+    return _slot(draw, str(draw(st.integers(1, 3))), odd)
 
 
 @st.composite
@@ -886,7 +920,7 @@ _INPUTS = st.one_of(
 _OUTPUT_FLAGS = ("--out", "--export-net", "--export-csv", "--export-dot")
 _FLAG_SETS = st.fixed_dictionaries(
     {
-        "slices": st.lists(st.sampled_from([1, 2, 3]), max_size=2),
+        "slices": st.lists(_slice_args(), max_size=2),
         "switches": st.sets(st.sampled_from(["--tables", "--stats-only", "--normalize-names"])),
         "outputs": st.lists(st.booleans(), min_size=4, max_size=4).map(
             lambda picks: [f for f, on in zip(_OUTPUT_FLAGS, picks) if on]
@@ -908,8 +942,8 @@ _CENSUS_REASON = re.compile(
 def test_cli_contract_holds_for_arbitrary_input(source_file, flags):
     """Any input and flag mix ends in exit 0, 1 or 2 with no traceback, says
     why on exit 1 (the failing line, the export, or briefly why a census is
-    impossible), and writes every requested output on success and none on
-    failure."""
+    impossible) and briefly on exit 2 (argparse's error for a bad --slice),
+    and writes every requested output on success and none on failure."""
     data, (suffix, fmt) = source_file
     if data.startswith(b"journal,degree") and flags["census_stats_only"]:
         flags = {"slices": [], "switches": {"--stats-only"}, "outputs": []}
@@ -920,7 +954,7 @@ def test_cli_contract_holds_for_arbitrary_input(source_file, flags):
         if fmt:
             argv += ["--format", fmt]
         for m in flags["slices"]:
-            argv += ["--slice", str(m)]
+            argv += ["--slice", m]
         outputs = [Path(tmp) / f"out{flag}" for flag in flags["outputs"]]
         for flag, target in zip(flags["outputs"], outputs):
             argv += [flag, str(target)]
@@ -934,5 +968,9 @@ def test_cli_contract_holds_for_arbitrary_input(source_file, flags):
             assert reason.startswith((f"{source}:", "cannot export ")) or (
                 _CENSUS_REASON.fullmatch(reason) and len(reason) < 200
             ), reason
+        if not all(m in ("1", "2", "3") or len(m) == 4300 for m in flags["slices"]):
+            assert status == 2
+            reason = stderr.getvalue().rstrip("\n").rpartition("\n")[2]
+            assert reason.startswith("interlock-analyze: error:") and len(reason) < 200, reason
         written = [target.exists() for target in outputs]
         assert all(written) if status == 0 else not any(written)
