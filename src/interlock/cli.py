@@ -32,9 +32,11 @@ def _slice_threshold(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        if (text[1:] if text[:1] in ("+", "-") else text).isdecimal():  # more than int reads
-            raise argparse.ArgumentTypeError(f"number too long: {len(text)} characters") from None
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        digits = text.strip()  # as int reads it
+        if (digits[1:] if digits[:1] in ("+", "-") else digits).isdecimal():  # more than int reads
+            raise argparse.ArgumentTypeError(f"number too long: {len(digits)} characters") from None
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"not an integer: {shown}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("slice threshold must be at least 1")
     return value

@@ -10,9 +10,11 @@ so results are deterministic.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from math import fsum, sqrt
+from operator import add
 
 from .model import (
     DENSITY_LOOPS,
@@ -123,11 +125,8 @@ def _sweep(view: GraphView) -> PathSums:
     position, relabelled ``0..k-1`` in position order (so neighbour lists
     stay ascending) and swept from every member with k-long buffers: a
     network costs the sum over its components of k*m, and an isolated
-    vertex costs O(1).  Sources are taken in position order, so each
-    ``dependency`` entry receives its additions in source order, and each
-    ``delta`` entry receives its additions in reversed breadth-first order
-    of its successors: the float additions of a plain per-source sweep, in
-    the same order.  Geodesic counts are exact integers.
+    vertex costs O(1).  See :func:`_sweep_component` for the order of the
+    float additions.  Geodesic counts are exact integers.
     """
     n = len(view.vertices)
     adjacency = view.adjacency
@@ -154,46 +153,233 @@ def _sweep(view: GraphView) -> PathSums:
         for i, p in enumerate(members):
             local[p] = i
         adj = [[local[v] for v in adjacency[p]] for p in members]
-        dep = [0.0] * k
-        for source in range(k):
-            dist = [k] * k  # k exceeds every distance: "not reached yet"
-            sigma = [0] * k
-            preds = [None] * k
-            dist[source] = 0
-            sigma[source] = 1
-            order = [source]
-            level = [source]
-            d = total = 0
-            while level:
-                d += 1
-                nxt = []
-                for u in level:
-                    su = sigma[u]
-                    for v in adj[u]:
-                        if dist[v] >= d:  # skips back arcs and same-level arcs
-                            if dist[v] == d:
-                                sigma[v] += su
-                                preds[v].append(u)
-                            else:
-                                dist[v] = d
-                                sigma[v] = su
-                                preds[v] = [u]
-                                nxt.append(v)
-                total += d * len(nxt)
-                order += nxt
-                level = nxt
-            distance_sum[members[source]] = total
-            delta = [0.0] * k
-            for w in order[:0:-1]:  # reversed, the source left out
-                sw = sigma[w]
-                share = 1.0 + delta[w]
-                for u in preds[w]:
-                    delta[u] += sigma[u] / sw * share
-                dep[w] += delta[w]
+        dep, totals = _sweep_component(adj, k * sum(map(len, adj)) // 2)
         for i, p in enumerate(members):
             dependency[p] = dep[i]
             reach[p] = k - 1
+            distance_sum[p] = totals[i]
     return PathSums(dependency, reach, distance_sum, components)
+
+
+# A component whose k*m reaches this is swept by several processes where
+# the platform can fork: below it, a fork costs more than it saves.
+_SPLIT_WORK = 50_000
+# The most delta bytes a child buffers in one round: 4 MiB, 524 sources of
+# a 1000-vertex component.
+_ROUND_BYTES = 1 << 22
+
+
+def _sweep_component(adj: list[list[int]], work: int) -> tuple[list[float], list[int]]:
+    """Dependencies and distance sums of one component, by its local
+    adjacency ``adj`` and its k*m ``work``.
+
+    In one process (:func:`_split_cpus`) the sources are swept in order,
+    each adding its dependencies into ``dep`` as it goes.  In more, they are
+    taken in rounds of contiguous blocks, one process pinned to each CPU:
+    this process sweeps a round's first block the same way, and a forked
+    child each later block, shipping every source's ``delta`` vector, which
+    is then added into ``dep`` whole, in source order.  Either way each ``dep``
+    entry receives one addition per source, in source order.  A child never
+    sums its own sources, as that would regroup the additions and change
+    the bits.  Pinning matters: a scheduler may leave a forked child on its
+    parent's CPU for tens of milliseconds.
+    """
+    k = len(adj)
+    dep = [0.0] * k
+    totals = [0] * k
+    cpus = _split_cpus(k, work)
+    if len(cpus) < 2:
+        _sweep_sources(adj, range(k), dep, totals)
+        return dep, totals
+    size = min(-(-k // len(cpus)), max(1, _ROUND_BYTES // (8 * k)))  # sources per block
+    step = size * len(cpus)
+    mask = os.sched_getaffinity(0)
+    _pin(cpus[:1])
+    try:
+        for first in range(0, k, step):
+            blocks = [range(b, min(b + size, k)) for b in range(first, min(first + step, k), size)]
+            _sweep_round(adj, blocks, cpus, dep, totals)
+    finally:
+        _pin(mask)
+    return dep, totals
+
+
+def _split_cpus(k: int, work: int) -> list[int]:
+    """The CPUs to sweep a component of k vertices and k*m ``work`` on, one
+    process each; fewer than two means one process, left unpinned.
+
+    Fewer than two below :data:`_SPLIT_WORK`, where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or while a second thread is alive
+    (a forked child could inherit a lock that thread holds).  Else the
+    lowest of the CPUs this process may run on: one, plus one per
+    :data:`_SPLIT_WORK` of work, and at most one per source.
+    """
+    if work < _SPLIT_WORK or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return []
+    import threading
+
+    if threading.active_count() > 1:
+        return []
+    return sorted(os.sched_getaffinity(0))[: min(k, 1 + work // max(_SPLIT_WORK, 1))]
+
+
+def _pin(cpus) -> None:
+    """Run this process on ``cpus`` only, where the platform allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _sweep_round(
+    adj: list[list[int]],
+    blocks: list[range],
+    cpus: list[int],
+    dep: list[float],
+    totals: list[int],
+) -> None:
+    """Sweep ``blocks[0]`` here and every later block in a child forked
+    onto the matching CPU, and take the children's sweeps in block order.
+
+    A block whose child could not be forked, exited non-zero or wrote short
+    is swept here instead.  Every child is reaped before this returns, and
+    killed first if this raises.
+    """
+    live: dict = {}  # pid -> read end of the pipe of each child not yet reaped
+    try:
+        pids = []
+        for sources, cpu in zip(blocks[1:], cpus[1:]):
+            pids.append(_fork_sweep(adj, sources, cpu, live))
+        _sweep_sources(adj, blocks[0], dep, totals)
+        for sources, pid in zip(blocks[1:], pids):
+            if not (pid and _take_shipped(pid, live, sources, dep, totals)):
+                _sweep_sources(adj, sources, dep, totals)
+    except BaseException:
+        import signal
+
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in live.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _fork_sweep(adj: list[list[int]], sources: range, cpu: int, live: dict) -> int:
+    """Fork a child that runs on ``cpu``, sweeps ``sources`` and writes
+    their distance sums, then their ``delta`` vectors, to a pipe as machine
+    words; its pid, with the pipe's read end put in ``live``, or 0 where no
+    pipe or process can be had."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return 0
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return 0
+    if pid:
+        os.close(w)
+        live[pid] = open(r, "rb")
+        return pid
+    status = 1  # the child: it never returns, and nothing it raises escapes
+    try:
+        _pin((cpu,))
+        from array import array
+
+        k = len(adj)
+        totals = [0] * k
+        deltas = array("d")
+        _sweep_sources(adj, sources, [0.0] * k, totals, deltas)
+        with open(w, "wb") as pipe:
+            pipe.write(array("q", totals[sources.start : sources.stop]))
+            pipe.write(deltas)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _take_shipped(
+    pid: int, live: dict, sources: range, dep: list[float], totals: list[int]
+) -> bool:
+    """Read child ``pid``'s pipe to its end and reap the child; if it exited
+    0 and wrote every source's sweep, add those into ``totals`` and ``dep``,
+    one source at a time in source order, and return True."""
+    pipe = live[pid]
+    data = pipe.read()
+    pipe.close()
+    status = os.waitpid(pid, 0)[1]
+    del live[pid]
+    k, count = len(dep), len(sources)
+    if status or len(data) != 8 * count * (k + 1):
+        return False
+    words = memoryview(data)
+    totals[sources.start : sources.stop] = words[: 8 * count].cast("q").tolist()
+    deltas = words[8 * count :].cast("d")
+    for i in range(0, count * k, k):
+        dep[:] = map(add, dep, deltas[i : i + k])
+    return True
+
+
+def _sweep_sources(
+    adj: list[list[int]],
+    sources: range,
+    dep: list[float],
+    totals: list[int],
+    deltas=None,
+) -> None:
+    """One Brandes pass from each of ``sources`` in turn over a component's
+    local adjacency ``adj``: its distance sum goes into ``totals``, and its
+    dependencies are added into ``dep`` as each becomes final.
+
+    Each ``delta`` entry receives its additions in reversed breadth-first
+    order of its successors, as in a plain per-source sweep.  With an
+    ``array('d')`` as ``deltas``, each source's ``delta`` vector is also
+    appended to it, with 0.0 at the source itself: a source adds nothing to
+    its own dependency, and x + 0.0 is x for every non-negative x.
+    """
+    k = len(adj)
+    for source in sources:
+        dist = [k] * k  # k exceeds every distance: "not reached yet"
+        sigma = [0] * k
+        preds = [None] * k
+        dist[source] = 0
+        sigma[source] = 1
+        order = [source]
+        level = [source]
+        d = total = 0
+        while level:
+            d += 1
+            nxt = []
+            for u in level:
+                su = sigma[u]
+                for v in adj[u]:
+                    if dist[v] >= d:  # skips back arcs and same-level arcs
+                        if dist[v] == d:
+                            sigma[v] += su
+                            preds[v].append(u)
+                        else:
+                            dist[v] = d
+                            sigma[v] = su
+                            preds[v] = [u]
+                            nxt.append(v)
+            total += d * len(nxt)
+            order += nxt
+            level = nxt
+        totals[source] = total
+        delta = [0.0] * k
+        for w in order[:0:-1]:  # reversed, the source left out
+            sw = sigma[w]
+            share = 1.0 + delta[w]
+            for u in preds[w]:
+                delta[u] += sigma[u] / sw * share
+            dep[w] += delta[w]
+        if deltas is not None:
+            delta[source] = 0.0
+            deltas.fromlist(delta)
 
 
 def path_sums(net: OneModeNetwork) -> PathSums:

@@ -1,4 +1,8 @@
+import errno
+import os
 import random
+import threading
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -229,16 +233,192 @@ def scattered_nets(draw, max_n: int = 60) -> OneModeNetwork:
     return net
 
 
+def _assert_matches_reference(view, sums):
+    dependency, reach, distance_sum = reference_sweep(view)
+    assert [d.hex() for d in sums.dependency] == [d.hex() for d in dependency]
+    assert sums.reach == reach
+    assert sums.distance_sum == distance_sum
+
+
 @settings(max_examples=300, deadline=None)
 @given(scattered_nets())
 def test_sweep_matches_the_per_source_reference_bit_for_bit(net):
     view = net.frozen()
     sums = metrics._sweep(view)
-    dependency, reach, distance_sum = reference_sweep(view)
-    assert [d.hex() for d in sums.dependency] == [d.hex() for d in dependency]
-    assert sums.reach == reach
-    assert sums.distance_sum == distance_sum
+    _assert_matches_reference(view, sums)
     assert sums.components == [[net.index(v) for v in c] for c in weak_components(net)]
+
+
+_CAN_SPLIT = all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "sched_setaffinity"))
+needs_fork = pytest.mark.skipif(
+    not (_CAN_SPLIT and os.path.isdir("/proc/self/fd")),
+    reason="needs os.fork, CPU affinity and /proc/self/fd",
+)
+
+
+@contextmanager
+def _split_forced(threshold=0, cpus=None, fork=None, round_bytes=None):
+    """Sweep with ``metrics._SPLIT_WORK`` at ``threshold``, with ``cpus``
+    CPUs reported if given, ``fork`` in place of ``os.fork`` if given, and
+    ``metrics._ROUND_BYTES`` at ``round_bytes`` if given; yields the list of
+    fork calls.  Afterwards no child is left, no descriptor is open that
+    was not open before, and the CPU affinity is what it was (restored here
+    when the CPUs were faked, checked otherwise)."""
+    affinity = os.sched_getaffinity(0)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    forks = []
+    real_fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return (fork or real_fork)()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_SPLIT_WORK", threshold)
+        mp.setattr(os, "fork", counted)
+        if cpus is not None:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if round_bytes is not None:
+            mp.setattr(metrics, "_ROUND_BYTES", round_bytes)
+        try:
+            yield forks
+        finally:
+            if cpus is not None:
+                os.sched_setaffinity(0, affinity)
+    assert os.sched_getaffinity(0) == affinity
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@needs_fork
+@settings(max_examples=40, deadline=None)
+@given(
+    scattered_nets(max_n=40),
+    st.sampled_from([0, 30, 300]),
+    st.integers(2, 4),
+    st.sampled_from([1, 100, 1 << 22]),
+)
+def test_split_sweep_matches_the_per_source_reference_bit_for_bit(net, threshold, cpus, round_bytes):
+    """Components at or above the threshold are swept by 2-4 processes, in
+    one round or several (a small ``_ROUND_BYTES`` gives blocks of one or a
+    few sources); those below it by this process alone."""
+    view = net.frozen()
+    with _split_forced(threshold, cpus, round_bytes=round_bytes) as forks:
+        sums = metrics._sweep(view)
+    _assert_matches_reference(view, sums)
+    works = [
+        len(c) * sum(len(view.adjacency[p]) for p in c) // 2 for c in sums.components if len(c) > 1
+    ]
+    assert bool(forks) == any(work >= threshold for work in works)
+
+
+def _two_component_view():
+    """A ring lattice of 24 vertices and a 4 x 5 grid, interleaved."""
+    blocks = [_ring_lattice(24, 3), _grid(4, 5)]
+    net = OneModeNetwork(f"v{i}" for i in range(44))
+    for offset, (size, edges) in zip((0, 24), blocks):
+        for a, b in edges:
+            net.add_edge(f"v{(offset + a) * 7 % 44}", f"v{(offset + b) * 7 % 44}", 1)
+    return net.frozen()
+
+
+def _refuse_fork():
+    raise OSError(errno.EAGAIN, "fork refused")
+
+
+_SWEEP_SOURCES = metrics._sweep_sources
+
+
+def _exit_3_before_writing(adj, sources, *rest):
+    os._exit(3)
+
+
+def _write_one_short(adj, sources, *rest):
+    return _SWEEP_SOURCES(adj, sources[:-1], *rest)
+
+
+def _raise(adj, sources, *rest):
+    raise MemoryError
+
+
+# (child's sweep, os.fork in its place, every child exits 3, blocks swept
+# by the parent per component beyond its own)
+_FAULTS = {
+    "none": (_SWEEP_SOURCES, None, False, False),
+    "fork-refused": (_SWEEP_SOURCES, _refuse_fork, False, True),
+    "exit-3-before-writing": (_exit_3_before_writing, None, False, True),
+    "exit-3-after-writing": (_SWEEP_SOURCES, None, True, True),
+    "one-source-short": (_write_one_short, None, False, True),
+    "raises": (_raise, None, False, True),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_a_failed_child_leaves_its_sources_to_the_parent(fault, cpus):
+    child_sweep, fork, exit_3, fallback = _FAULTS[fault]
+    view = _two_component_view()
+    parent, swept_here = os.getpid(), []
+    real_exit = os._exit
+
+    def sweep(adj, sources, *rest):
+        if os.getpid() != parent:
+            return child_sweep(adj, sources, *rest)
+        swept_here.append(sources)
+        return _SWEEP_SOURCES(adj, sources, *rest)
+
+    with _split_forced(0, cpus, fork=fork) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_sweep_sources", sweep)
+        if exit_3:
+            mp.setattr(os, "_exit", lambda status: real_exit(3))
+        sums = metrics._sweep(view)
+    _assert_matches_reference(view, sums)
+    assert len(forks) == 2 * (cpus - 1)  # two components, each split cpus ways
+    assert len(swept_here) == (2 * cpus if fallback else 2)
+
+
+@needs_fork
+def test_a_parent_that_raises_kills_and_reaps_its_children():
+    view = _two_component_view()
+    calls = []
+
+    def sweep(*args):
+        calls.append(os.getpid())
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt), _split_forced(0, 3) as forks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_sweep_sources", sweep)
+            metrics._sweep(view)
+    assert len(forks) == 2 and calls == [os.getpid()]
+
+
+@needs_fork
+def test_the_split_keeps_the_cpu_affinity():
+    """On the CPUs this process really has: pinned for the sweep, restored
+    after it (one CPU sweeps in this process alone)."""
+    view = _two_component_view()
+    with _split_forced(0):
+        sums = metrics._sweep(view)
+    _assert_matches_reference(view, sums)
+
+
+@needs_fork
+def test_a_live_thread_keeps_the_sweep_in_one_process():
+    view = _two_component_view()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with _split_forced(0, 4, fork=lambda: pytest.fail("forked with a live thread")) as forks:
+            sums = metrics._sweep(view)
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == []
+    _assert_matches_reference(view, sums)
 
 
 class TestCloseness:

@@ -817,8 +817,13 @@ class TestCli:
             ("--1", "not an integer: '--1'"),
             ("9" * 5000, "number too long: 5000 characters"),
             ("-" + "9" * 4400, "number too long: 4401 characters"),
+            (" " + "9" * 5000 + "\t", "number too long: 5000 characters"),
+            ("x" * 5000, "not an integer: '" + "x" * 20 + "'... (5000 characters)"),
         ],
-        ids=["word", "two-signs", "5000-digits", "signed-4400-digits"],
+        ids=[
+            "word", "two-signs", "5000-digits", "signed-4400-digits", "spaced-5000-digits",
+            "5000-character-word",
+        ],
     )
     def test_slice_flag_says_why_a_value_is_rejected(self, capsys, value, reason):
         assert run_analyze(["--input", "x.csv", f"--slice={value}"]) == 2
