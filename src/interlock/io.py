@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import re
+import unicodedata
 
-from .model import OneModeNetwork, TwoModeNetwork, normalize_identifier
+from .model import EMPTY_IDENTIFIER, OneModeNetwork, TwoModeNetwork, normalize_identifier
 
 
 class FormatError(ValueError):
@@ -99,25 +100,44 @@ def parse_csv_affiliations(
                 reader.line_num, f"expected header with columns actor,event; got {row!r}"
             )
         event_col, actor_col = names.index("event"), names.index("actor")
-        add, warn = net.add_affiliation, diags.warnings.append
+        # One loop frame per row: the event memo is probed, the actor id is
+        # computed by normalize_identifier's rule and the seat is stored by
+        # TwoModeNetwork._seat's body, all inline.
+        event_ids, add_event, holdings = net._event_ids, net.add_event, net._actor_events
+        normalize, warn = unicodedata.normalize, diags.warnings.append
         records = duplicates = 0
-        # A row is tested for blankness only once it fails: a 2-cell row is
-        # blank exactly when both identifiers trim to empty, which add rejects.
         for row in reader:
             if len(row) != 2:
                 if "".join(row).strip():
                     raise FormatError(reader.line_num, f"expected 2 fields, got {len(row)}")
                 continue
-            try:
-                added = add(row[event_col], row[actor_col])
-            except ValueError as exc:
+            event = row[event_col]
+            eid = event_ids.get(event)
+            if eid is None:
+                try:
+                    eid = add_event(event)
+                except ValueError:  # empty after trimming
+                    eid = ""
+            aid = normalize("NFC", row[actor_col].strip())
+            if casefold_actors:
+                aid = normalize("NFC", aid.casefold())
+            # A 2-cell row is blank exactly when both identifiers are empty,
+            # so a row is tested for blankness only once one of them is.
+            if not (eid and aid):
                 if "".join(row).strip():
-                    raise FormatError(reader.line_num, str(exc)) from None
+                    raise FormatError(reader.line_num, EMPTY_IDENTIFIER)
                 continue
             records += 1
-            if not added:
+            held = holdings.get(aid)
+            if held is None:
+                holdings[aid] = {eid}
+            elif eid not in held:
+                held.add(eid)
+            else:
                 duplicates += 1
-                warn((reader.line_num, f"duplicate membership collapsed: {row!r}"))
+                # repr(row), without the list repr's recursion guard
+                a, b = row
+                warn((reader.line_num, f"duplicate membership collapsed: [{a!r}, {b!r}]"))
     except csv.Error as exc:
         raise FormatError(reader.line_num, str(exc)) from None
     diags.records_read, diags.duplicates_collapsed = records, duplicates
@@ -209,6 +229,7 @@ def parse_net_two_mode(
     names, def_lines = _parse_vertex_defs(vertex_lines, n)
 
     net = TwoModeNetwork(casefold_actors=casefold_actors)
+    event_ids = [""]  # event index -> id; index 0 is no event
     seen_events: set[str] = set()
     for i in range(1, n_events + 1):
         label = _vertex_name(names, i)
@@ -219,6 +240,7 @@ def parse_net_two_mode(
         if eid in seen_events:  # two labels that trim and normalize alike
             raise FormatError(def_lines.get(i, head_no), f"duplicate event label {label!r}")
         seen_events.add(eid)
+        event_ids.append(eid)
 
     defined_actors = sorted(i for i in names if i > n_events)
     # Actors are told apart by their trimmed NFC id, as the network merges
@@ -238,39 +260,46 @@ def parse_net_two_mode(
             raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
         seen_actors.add(aid)
 
-    linked_actors: set[int] = set()
+    # Each actor index is resolved to its id once, by the first edge that
+    # links it; its key in actor_ids marks it linked.
+    seat, warn = net._seat, diags.warnings.append
+    actor_ids: dict[int, str] = {}
+    records = duplicates = 0
     for no, line in edge_lines:
         parts = line.split()
-        if len(parts) not in (2, 3) or not all(
-            p.removeprefix("-").isdecimal() for p in parts[:2]
+        if not 2 <= len(parts) <= 3 or not (
+            parts[0].removeprefix("-").isdecimal() and parts[1].removeprefix("-").isdecimal()
         ):
             raise FormatError(no, f"malformed edge line: {line!r}")
         i, j = _int(parts[0], no), _int(parts[1], no)
-        for idx in (i, j):
-            if not 1 <= idx <= n:
-                raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
-        i_is_event = i <= n_events
-        j_is_event = j <= n_events
-        if i_is_event == j_is_event:
-            kind = "events" if i_is_event else "actors"
-            raise BipartitenessError(no, f"edge {i} {j} joins two {kind}")
-        event_idx, actor_idx = (i, j) if i_is_event else (j, i)
-        diags.records_read += 1
-        try:
-            added = net.add_affiliation(
-                _vertex_name(names, event_idx), _vertex_name(names, actor_idx)
-            )
-        except ValueError as exc:
-            raise FormatError(no, str(exc)) from None
-        if not added:
-            diags.duplicates_collapsed += 1
-            diags.warn(no, f"duplicate affiliation collapsed: {i} {j}")
-        linked_actors.add(actor_idx)
+        if not 1 <= i <= n or not 1 <= j <= n:
+            idx = j if 1 <= i <= n else i
+            raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
+        if i <= n_events:
+            if j <= n_events:
+                raise BipartitenessError(no, f"edge {i} {j} joins two events")
+            event_idx, actor_idx = i, j
+        elif j <= n_events:
+            event_idx, actor_idx = j, i
+        else:
+            raise BipartitenessError(no, f"edge {i} {j} joins two actors")
+        aid = actor_ids.get(actor_idx)
+        if aid is None:
+            label = _vertex_name(names, actor_idx)
+            try:
+                aid = actor_ids[actor_idx] = normalize_identifier(label, casefold=casefold_actors)
+            except ValueError as exc:
+                raise FormatError(no, str(exc)) from None
+        records += 1
+        if not seat(event_ids[event_idx], aid):
+            duplicates += 1
+            warn((no, f"duplicate affiliation collapsed: {i} {j}"))
+    diags.records_read, diags.duplicates_collapsed = records, duplicates
 
     # Walk the defined or linked actors in index order; the undefined,
     # unlinked ones lie in the gaps between them.
     prev = n_events
-    for idx in [*sorted({*defined_actors, *linked_actors}), n + 1]:
+    for idx in [*sorted({*defined_actors, *actor_ids}), n + 1]:
         if idx - prev == 2:
             diags.warn(head_no, f"actor vertex {str(prev + 1)!r} has no affiliation; dropped")
         elif idx - prev > 2:
@@ -279,7 +308,7 @@ def parse_net_two_mode(
                 f"actor vertices {prev + 1}..{idx - 1} are undefined and have no "
                 "affiliation; dropped",
             )
-        if idx <= n and idx not in linked_actors:
+        if idx <= n and idx not in actor_ids:
             diags.warn(def_lines[idx], f"actor vertex {names[idx]!r} has no affiliation; dropped")
         prev = idx
     return net, diags

@@ -21,6 +21,9 @@ def check_variant(kind: str, variant: str, variants: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {kind} variant: {variant!r}")
 
 
+EMPTY_IDENTIFIER = "identifier is empty after trimming"
+
+
 def normalize_identifier(raw: str, *, casefold: bool = False) -> str:
     """Canonicalize an identifier token.
 
@@ -35,7 +38,7 @@ def normalize_identifier(raw: str, *, casefold: bool = False) -> str:
     if casefold:
         token = unicodedata.normalize("NFC", token.casefold())
     if not token:
-        raise ValueError("identifier is empty after trimming")
+        raise ValueError(EMPTY_IDENTIFIER)
     return token
 
 
@@ -59,6 +62,11 @@ class TwoModeNetwork:
     may name both an event and an actor.  Construction is single-writer;
     once built, instances are treated as immutable values and are safe for
     concurrent reads.
+
+    Package-private: the readers in :mod:`interlock.io` record seats by
+    normalized id through :meth:`_seat`.  The membership CSV reader inlines
+    its body, and the raw-event memo ``_event_ids``, in its row loop, where
+    one call per row is a measured share of the parse.
     """
 
     def __init__(self, *, casefold_actors: bool = False) -> None:
@@ -88,7 +96,12 @@ class TwoModeNetwork:
         order.  Returns ``True`` when a new seat was recorded.
         """
         eid = self._event_ids.get(event) or self.add_event(event)
-        aid = normalize_identifier(actor, casefold=self.casefold_actors)
+        return self._seat(eid, normalize_identifier(actor, casefold=self.casefold_actors))
+
+    def _seat(self, eid: str, aid: str) -> bool:
+        """Record that actor id ``aid`` sits on the board of event id ``eid``,
+        both already normalized and the event registered; ``False`` if the
+        seat is already held."""
         held = self._actor_events.get(aid)
         if held is None:
             held = self._actor_events[aid] = set()

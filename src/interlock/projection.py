@@ -9,7 +9,7 @@ sharing nobody end up as isolates.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 from .model import OneModeNetwork, TwoModeNetwork
 
@@ -18,11 +18,10 @@ def _project(vertices, labels, groups) -> OneModeNetwork:
     net = OneModeNetwork()
     for v in vertices:
         net.add_vertex(v, labels(v))
-    position = {v: i for i, v in enumerate(vertices)}
-    counts: Counter[tuple[int, int]] = Counter()
-    for group in groups:
-        if len(group) > 1:
-            counts.update(combinations(sorted(map(position.__getitem__, group)), 2))
+    pos = {v: i for i, v in enumerate(vertices)}.__getitem__
+    counts: Counter[tuple[int, int]] = Counter(
+        chain.from_iterable(combinations(sorted(map(pos, g)), 2) for g in groups if len(g) > 1)
+    )
     order = net.vertices
     for (i, j), value in sorted(counts.items()):
         net.add_edge(order[i], order[j], value)

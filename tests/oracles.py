@@ -20,6 +20,7 @@ from math import fsum
 from interlock import (
     DENSITY_LOOPS,
     DENSITY_NO_LOOPS,
+    BipartitenessError,
     FormatError,
     OneModeNetwork,
     TwoModeNetwork,
@@ -27,6 +28,8 @@ from interlock import (
     degree_stats,
     pair_density,
 )
+from interlock.io import ParseDiagnostics, _int, _parse_vertex_defs, _split_sections, _vertex_name
+from interlock.model import normalize_identifier
 from interlock.report import DENSITY_NOTE
 
 
@@ -579,3 +582,95 @@ def reference_parse_degree_list_csv(text: str) -> tuple[list[int], int]:
     if col is None:
         raise FormatError(1, "missing header row")
     return degrees, len(degrees)
+
+
+# The two-mode NET reader as it stood before its edge loop resolved each
+# actor once: every edge normalizes its actor's label and records the seat
+# through ``add_affiliation``.  Kept verbatim so the rewritten reader is
+# held to the same network, warnings, error lines and reasons.
+
+
+def reference_parse_net_two_mode(
+    text: str, *, casefold_actors: bool = False
+) -> tuple[TwoModeNetwork, ParseDiagnostics]:
+    diags = ParseDiagnostics()
+    head_no, (n, n_events), vertex_lines, edge_lines = _split_sections(text, 2)
+    if n_events > n:
+        raise FormatError(head_no, f"event count {n_events} exceeds vertex count {n}")
+    names, def_lines = _parse_vertex_defs(vertex_lines, n)
+
+    net = TwoModeNetwork(casefold_actors=casefold_actors)
+    seen_events: set[str] = set()
+    for i in range(1, n_events + 1):
+        label = _vertex_name(names, i)
+        try:
+            eid = net.add_event(label, label)
+        except ValueError as exc:
+            raise FormatError(def_lines.get(i, head_no), str(exc)) from None
+        if eid in seen_events:  # two labels that trim and normalize alike
+            raise FormatError(def_lines.get(i, head_no), f"duplicate event label {label!r}")
+        seen_events.add(eid)
+
+    defined_actors = sorted(i for i in names if i > n_events)
+    # Actors are told apart by their trimmed NFC id, as the network merges
+    # them (a blank label is handled where it is used).  An undefined actor is
+    # named by its number, so it can clash only with an id reading as that.
+    ids = {
+        i: normalize_identifier(names[i]) if names[i].strip() else names[i]
+        for i in defined_actors
+    }
+    digits = len(str(n))
+    numbered = (int(aid) for aid in ids.values() if aid.isdecimal() and len(aid) <= digits)
+    seen_actors: set[str] = set()
+    for i in sorted({*defined_actors, *(k for k in numbered if n_events < k <= n)}):
+        aid = ids.get(i, str(i))
+        if aid in seen_actors:
+            label = _vertex_name(names, i)
+            raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
+        seen_actors.add(aid)
+
+    linked_actors: set[int] = set()
+    for no, line in edge_lines:
+        parts = line.split()
+        if len(parts) not in (2, 3) or not all(
+            p.removeprefix("-").isdecimal() for p in parts[:2]
+        ):
+            raise FormatError(no, f"malformed edge line: {line!r}")
+        i, j = _int(parts[0], no), _int(parts[1], no)
+        for idx in (i, j):
+            if not 1 <= idx <= n:
+                raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
+        i_is_event = i <= n_events
+        j_is_event = j <= n_events
+        if i_is_event == j_is_event:
+            kind = "events" if i_is_event else "actors"
+            raise BipartitenessError(no, f"edge {i} {j} joins two {kind}")
+        event_idx, actor_idx = (i, j) if i_is_event else (j, i)
+        diags.records_read += 1
+        try:
+            added = net.add_affiliation(
+                _vertex_name(names, event_idx), _vertex_name(names, actor_idx)
+            )
+        except ValueError as exc:
+            raise FormatError(no, str(exc)) from None
+        if not added:
+            diags.duplicates_collapsed += 1
+            diags.warn(no, f"duplicate affiliation collapsed: {i} {j}")
+        linked_actors.add(actor_idx)
+
+    # Walk the defined or linked actors in index order; the undefined,
+    # unlinked ones lie in the gaps between them.
+    prev = n_events
+    for idx in [*sorted({*defined_actors, *linked_actors}), n + 1]:
+        if idx - prev == 2:
+            diags.warn(head_no, f"actor vertex {str(prev + 1)!r} has no affiliation; dropped")
+        elif idx - prev > 2:
+            diags.warn(
+                head_no,
+                f"actor vertices {prev + 1}..{idx - 1} are undefined and have no "
+                "affiliation; dropped",
+            )
+        if idx <= n and idx not in linked_actors:
+            diags.warn(def_lines[idx], f"actor vertex {names[idx]!r} has no affiliation; dropped")
+        prev = idx
+    return net, diags

@@ -1,8 +1,8 @@
 """Byte-exact regression fixtures for the CLI's outputs.
 
 The files under ``tests/golden/`` were written by the CLI itself; any
-refactor of the measurement, report, or export code has to reproduce them
-byte for byte.
+refactor of the parse, measurement, report, or export code has to
+reproduce them, its stderr included, byte for byte.
 """
 
 from pathlib import Path
@@ -49,3 +49,20 @@ def test_full_report_matches_golden(tmp_path, capsys, source, flags, prefix, exp
 def test_census_stats_only_matches_golden(capsys):
     assert run_analyze(["--input", str(data_path(TABLE2_DEGREES)), "--stats-only"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "census_stats.json").read_text(encoding="utf-8")
+
+
+# (input under tests/golden/, extra flags): the CLI's stderr for each, as
+# written at the time the fixture was made; the input is named by its bare
+# file name, which every warning line repeats.
+STDERR_CASES = [
+    ("membership_dups.csv", ["--normalize-names"]),
+    ("two_mode_dups.net", []),
+]
+
+
+@pytest.mark.parametrize("name, flags", STDERR_CASES, ids=[c[0] for c in STDERR_CASES])
+def test_parse_warnings_match_golden_stderr(monkeypatch, capsys, name, flags):
+    monkeypatch.chdir(GOLDEN)
+    assert run_analyze(["--input", name, *flags, "--stats-only"]) == 0
+    stem = name.rpartition(".")[0]
+    assert capsys.readouterr().err.encode() == (GOLDEN / f"{stem}_stderr.txt").read_bytes()

@@ -7,6 +7,7 @@ from oracles import (
     reference_csv_kind,
     reference_parse_csv_affiliations,
     reference_parse_degree_list_csv,
+    reference_parse_net_two_mode,
     reference_split_sections,
     validate_two_mode,
 )
@@ -372,10 +373,13 @@ class TestParseDegreeListCsv:
 
 
 # Membership CSV cells: case, space and Unicode-composition variants of a
-# few names, a letter that case folding decomposes (U+01F0), and fields
-# that need quoting (a comma, a line break, a quote).
+# few names, a letter that case folding decomposes (U+01F0), fields that
+# need quoting (a comma, a line break, a quote), and cells whose repr in a
+# duplicate warning switches to double quotes (an apostrophe) or escapes a
+# character (a backslash, a zero-width space).
 _ACTOR_CELLS = [
-    "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "Smith, J", "O\"Neil", "two\nlines"
+    "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "Smith, J", "O\"Neil", "two\nlines",
+    "O'Neil", "back\\slash", "zero\u200bwidth",
 ]
 _EVENT_CELLS = ["J1", " J1", "j1", "J 2", "J\n3", "Lib, Sci"]
 # Whitespace-only rows of 1, 2 and 3 cells are skipped; a 2-cell row with
@@ -459,6 +463,69 @@ def _outcome(call, *args):
         return call(*args)
     except FormatError as exc:
         return ("FormatError", exc.line, exc.reason)
+
+
+# Two-mode NET vertex labels: case, space and composition variants, blank
+# labels, and labels that read as vertex numbers (an undefined actor is
+# named by its number).
+_NET_EVENT_LABELS = ["J1", "j1", " J1", "J 2", "7", "   "]
+_NET_ACTOR_LABELS = [
+    "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "2", " 3", "03", "9", "", "  ",
+]
+
+
+@st.composite
+def _two_mode_net_text(draw):
+    """A two-mode NET file: defined and undefined vertices, repeated edges,
+    edges with the actor first or a value token, and now and then an edge
+    joining two events or two actors, an index out of range or too long for
+    ``int``, a malformed edge line or an event count above n."""
+    n_events = draw(st.integers(0, 3))
+    n = n_events + draw(st.integers(0, 6))
+    lines = [f"*Vertices {n} {n_events if draw(st.integers(0, 29)) else n + 1}"]
+    for idx in range(1, n + 1):
+        kind = draw(st.integers(0, 4))
+        if kind in (1, 2):
+            pool = _NET_EVENT_LABELS if idx <= n_events else _NET_ACTOR_LABELS
+            lines.append(f'{idx} "{draw(st.sampled_from(pool))}"')
+        elif kind:  # a label of its own, in upper case: case folding changes it
+            lines.append(f'{idx} "{"J" if idx <= n_events else "A"}{idx}"')
+    lines.append("*Edges")
+    events, actors = range(1, n_events + 1), range(n_events + 1, n + 1)
+    pool = []
+    if events and actors:
+        seat = st.tuples(st.sampled_from(events), st.sampled_from(actors))
+        pool = draw(st.lists(seat, min_size=1, max_size=8))
+    big = "9" * 5000
+    odd = [
+        "1 1", f"{n} {n}", f"1 {max(n - 1, 1)}", f"0 {n}", f"-1 {n}", f"1 {n + 1}", f"{big} 1",
+        f"1 -{big}", "1", "1 x", "1 2 3 4", "--1 2", "1 -2",
+    ]
+    for _ in range(draw(st.integers(0, 16))):
+        if not pool or draw(st.integers(0, 29)) == 0:
+            lines.append(draw(st.sampled_from(odd)))
+            continue
+        event, actor = draw(st.sampled_from(pool))
+        pair = [event, actor] if draw(st.booleans()) else [actor, event]
+        value = draw(st.sampled_from(["", " 1", " 2"]))
+        lines.append(f"{pair[0]} {pair[1]}{value}")
+    return "\n".join(lines) + "\n"
+
+
+def _two_mode_outcome(parse, text, casefold):
+    try:
+        net, diags = parse(text, casefold_actors=casefold)
+    except FormatError as exc:
+        return (type(exc).__name__, exc.line, exc.reason)
+    return net, net.events, net.actors, diags
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_two_mode_net_text(), casefold=st.booleans())
+def test_net_two_mode_matches_reference(text, casefold):
+    assert _two_mode_outcome(parse_net_two_mode, text, casefold) == _two_mode_outcome(
+        reference_parse_net_two_mode, text, casefold
+    )
 
 
 # NET lines for the section scan: headers and section lines in spellings it
