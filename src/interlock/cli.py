@@ -8,6 +8,8 @@ variables are consulted.
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import os
 import sys
 from collections.abc import Sequence
@@ -152,12 +154,28 @@ def _emit(
 
 def _write(stream, text: str) -> OSError | None:
     """Write ``text`` to ``stream`` and flush it; the error when that failed.
-    A failed stream's descriptor is then pointed at the null device, so that
-    the flush at interpreter exit of what the failed write left buffered
-    cannot fail again (the recipe of the ``signal`` module's note on SIGPIPE)."""
+
+    A stream with a binary layer is given the encoded text there, write after
+    write until every byte is taken: unbuffered (``python -u``), that layer
+    is the raw file, whose write may take only part of the bytes, as it does
+    on a pipe whose reader goes away.  A failed stream's descriptor is then
+    pointed at the null device, so that the flush at interpreter exit of what
+    the failed write left buffered cannot fail again (the recipe of the
+    ``signal`` module's note on SIGPIPE)."""
     try:
-        stream.write(text)
-        stream.flush()
+        binary = getattr(stream, "buffer", None)
+        if binary is None:  # a text-only stream, such as io.StringIO
+            stream.write(text)
+            stream.flush()
+            return None
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        stream.flush()  # what was written to the text layer goes first
+        while data:
+            taken = binary.write(data)
+            if taken is None:  # a non-blocking descriptor that would block
+                raise BlockingIOError(errno.EAGAIN, "write could not complete without blocking")
+            data = data[taken:]
+        binary.flush()
         return None
     except OSError as exc:
         try:
@@ -173,10 +191,15 @@ def _write(stream, text: str) -> OSError | None:
 def run_analyze(argv: list[str] | None = None) -> int:
     """Run the pipeline; returns the process exit status.  Every failure ends
     here as its status and one stderr line, which is lost if it cannot be written."""
+    held, stdout = io.StringIO(), sys.stdout
     try:
-        args = build_parser().parse_args(argv)
-    except (SystemExit, OSError) as exc:  # argparse wrote help or usage (3.10: or failed to)
-        error = _write(sys.stdout, "")  # flushes the help, as _emit does the report
+        sys.stdout = held  # the help argparse prints goes out through _write
+        try:
+            args = build_parser().parse_args(argv)
+        finally:
+            sys.stdout = stdout
+    except (SystemExit, OSError) as exc:  # argparse printed help or usage (3.10: or failed to)
+        error = _write(sys.stdout, held.getvalue())  # the help, as _emit writes the report
         status = 2 if error or isinstance(exc, OSError) else int(exc.code or 0)
         message = f"cannot write stdout: {error}\n" if error else ""
     else:

@@ -101,8 +101,8 @@ def parse_csv_affiliations(
             )
         event_col, actor_col = names.index("event"), names.index("actor")
         # One loop frame per row: the event memo is probed, the actor id is
-        # computed by normalize_identifier's rule and the seat is stored by
-        # TwoModeNetwork._seat's body, all inline.
+        # computed by normalize_identifier's rule and the seat is stored as
+        # TwoModeNetwork.add_affiliation stores it, all inline.
         event_ids, add_event, holdings = net._event_ids, net.add_event, net._actor_events
         normalize, warn = unicodedata.normalize, diags.warnings.append
         records = duplicates = 0
@@ -242,36 +242,46 @@ def parse_net_two_mode(
         seen_events.add(eid)
         event_ids.append(eid)
 
-    defined_actors = sorted(i for i in names if i > n_events)
     # Actors are told apart by their trimmed NFC id, as the network merges
-    # them (a blank label is handled where it is used).  An undefined actor is
-    # named by its number, so it can clash only with an id reading as that.
+    # them (a blank label is kept raw and refused where an edge uses it).  An
+    # undefined actor is named by its number, so it can clash only with an id
+    # reading as that.
     ids = {
-        i: normalize_identifier(names[i]) if names[i].strip() else names[i]
-        for i in defined_actors
+        i: normalize_identifier(label) if label.strip() else label
+        for i, label in names.items()
+        if i > n_events
     }
     digits = len(str(n))
-    numbered = (int(aid) for aid in ids.values() if aid.isdecimal() and len(aid) <= digits)
-    seen_actors: set[str] = set()
-    for i in sorted({*defined_actors, *(k for k in numbered if n_events < k <= n)}):
-        aid = ids.get(i, str(i))
-        if aid in seen_actors:
-            label = _vertex_name(names, i)
-            raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
-        seen_actors.add(aid)
+    numbered = {int(aid) for aid in filter(str.isdecimal, ids.values()) if len(aid) <= digits}
+    undefined = [k for k in numbered if n_events < k <= n and k not in ids]
+    if len({*ids.values(), *map(str, undefined)}) < len(ids) + len(undefined):
+        # two actors share an id: name the later one of the first such pair
+        seen_actors: set[str] = set()
+        for i in sorted({*ids, *undefined}):
+            aid = ids.get(i, str(i))
+            if aid in seen_actors:
+                label = _vertex_name(names, i)
+                raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
+            seen_actors.add(aid)
 
-    # Each actor index is resolved to its id once, by the first edge that
-    # links it; its key in actor_ids marks it linked.
-    seat, warn = net._seat, diags.warnings.append
+    # One loop frame per edge: the tokens are read by int() (_int only names
+    # a number too long), each actor index is resolved to its id once, by the
+    # first edge that links it (its key in actor_ids marks it linked), and the
+    # seat is stored as TwoModeNetwork.add_affiliation stores it.
+    holdings, warn, normalize = net._actor_events, diags.warnings.append, unicodedata.normalize
     actor_ids: dict[int, str] = {}
     records = duplicates = 0
     for no, line in edge_lines:
         parts = line.split()
         if not 2 <= len(parts) <= 3 or not (
-            parts[0].removeprefix("-").isdecimal() and parts[1].removeprefix("-").isdecimal()
+            (parts[0].isdecimal() or parts[0].removeprefix("-").isdecimal())
+            and (parts[1].isdecimal() or parts[1].removeprefix("-").isdecimal())
         ):
             raise FormatError(no, f"malformed edge line: {line!r}")
-        i, j = _int(parts[0], no), _int(parts[1], no)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:  # raised again, by _int, for the first one too long
+            i, j = _int(parts[0], no), _int(parts[1], no)
         if not 1 <= i <= n or not 1 <= j <= n:
             idx = j if 1 <= i <= n else i
             raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
@@ -285,21 +295,34 @@ def parse_net_two_mode(
             raise BipartitenessError(no, f"edge {i} {j} joins two actors")
         aid = actor_ids.get(actor_idx)
         if aid is None:
-            label = _vertex_name(names, actor_idx)
-            try:
-                aid = actor_ids[actor_idx] = normalize_identifier(label, casefold=casefold_actors)
-            except ValueError as exc:
-                raise FormatError(no, str(exc)) from None
+            # the id built for the label check; an undefined actor's number
+            # is its own id, and case folding leaves it as it is
+            aid = ids.get(actor_idx)
+            if aid is None:
+                aid = str(actor_idx)
+            elif not aid.strip():
+                raise FormatError(no, EMPTY_IDENTIFIER)
+            elif casefold_actors:
+                aid = normalize("NFC", aid.casefold())
+            actor_ids[actor_idx] = aid
         records += 1
-        if not seat(event_ids[event_idx], aid):
+        eid = event_ids[event_idx]
+        held = holdings.get(aid)
+        if held is None:
+            holdings[aid] = {eid}
+        elif eid not in held:
+            held.add(eid)
+        else:
             duplicates += 1
             warn((no, f"duplicate affiliation collapsed: {i} {j}"))
     diags.records_read, diags.duplicates_collapsed = records, duplicates
+    if len(actor_ids) == n - n_events:  # every actor is linked: none dropped
+        return net, diags
 
     # Walk the defined or linked actors in index order; the undefined,
     # unlinked ones lie in the gaps between them.
     prev = n_events
-    for idx in [*sorted({*defined_actors, *actor_ids}), n + 1]:
+    for idx in [*sorted({*ids, *actor_ids}), n + 1]:
         if idx - prev == 2:
             diags.warn(head_no, f"actor vertex {str(prev + 1)!r} has no affiliation; dropped")
         elif idx - prev > 2:

@@ -63,10 +63,11 @@ class TwoModeNetwork:
     once built, instances are treated as immutable values and are safe for
     concurrent reads.
 
-    Package-private: the readers in :mod:`interlock.io` record seats by
-    normalized id through :meth:`_seat`.  The membership CSV reader inlines
-    its body, and the raw-event memo ``_event_ids``, in its row loop, where
-    one call per row is a measured share of the parse.
+    Package-private: both readers in :mod:`interlock.io` store each seat by
+    normalized id straight into ``_actor_events``, as :meth:`add_affiliation`
+    does, in their own row or edge loop, where one call per row is a
+    measured share of the parse.  The membership CSV reader also probes the
+    raw-event memo ``_event_ids`` there.
     """
 
     def __init__(self, *, casefold_actors: bool = False) -> None:
@@ -96,12 +97,7 @@ class TwoModeNetwork:
         order.  Returns ``True`` when a new seat was recorded.
         """
         eid = self._event_ids.get(event) or self.add_event(event)
-        return self._seat(eid, normalize_identifier(actor, casefold=self.casefold_actors))
-
-    def _seat(self, eid: str, aid: str) -> bool:
-        """Record that actor id ``aid`` sits on the board of event id ``eid``,
-        both already normalized and the event registered; ``False`` if the
-        seat is already held."""
+        aid = normalize_identifier(actor, casefold=self.casefold_actors)
         held = self._actor_events.get(aid)
         if held is None:
             held = self._actor_events[aid] = set()

@@ -26,6 +26,7 @@ from interlock import (
     write_net_one_mode,
 )
 from interlock.io import _split_sections, csv_kind
+from interlock.model import normalize_identifier
 
 
 class TestParseCsvAffiliations:
@@ -223,6 +224,8 @@ class TestParseNetTwoMode:
             (parse_net_two_mode, f"*Vertices 2 1\n1 J1\n{big} a\n", 3, 5000),
             (parse_net_two_mode, f'*Vertices 2 1\n1 "J1"\n*Edges\n{big} 2\n', 4, 5000),
             (parse_net_two_mode, f'*Vertices 2 1\n1 "J1"\n*Edges\n1 -{big}\n', 4, 5001),
+            # both too long: the first is named
+            (parse_net_two_mode, f'*Vertices 2 1\n1 "J1"\n*Edges\n{big} -{big}\n', 4, 5000),
             (parse_net_one_mode, f"*Vertices {big}\n", 1, 5000),
             (parse_net_one_mode, f'*Vertices 2\n1 "A"\n*Edges\n1 2 {big}\n', 4, 5000),
             (parse_degree_list_csv, f"journal,degree\na,1\nb,{big}\n", 3, 5000),
@@ -264,6 +267,23 @@ class TestParseNetTwoMode:
         net, _ = parse_net_two_mode('*Vertices 2 1\n1 "X"\n2 "X"\n*Edges\n1 2\n')
         assert net.events == ("X",)
         assert net.actors == ("X",)
+
+    def test_each_defined_actor_label_is_normalized_once(self, monkeypatch):
+        calls = []
+
+        def counted(raw, *, casefold=False):
+            calls.append(raw)
+            return normalize_identifier(raw, casefold=casefold)
+
+        monkeypatch.setattr("interlock.io.normalize_identifier", counted)
+        defined = 40  # actors 3..42, each linked to both events, actor-first too
+        vertices = "".join(f'{k} " Editor {k}"\n' for k in range(3, 3 + defined))
+        edges = "".join(f"1 {k}\n{k} 2\n" for k in range(3, 3 + defined))
+        text = f'*Vertices {2 + defined} 2\n1 "J1"\n2 "J2"\n{vertices}*Edges\n{edges}'
+        net, diags = parse_net_two_mode(text)
+        assert net.actors == tuple(f"Editor {k}" for k in range(3, 3 + defined))
+        assert (diags.records_read, diags.warnings) == (2 * defined, [])
+        assert len(calls) == defined
 
 
 class TestWriteNetOneMode:

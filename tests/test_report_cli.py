@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -284,6 +285,22 @@ _DEAD_STDERR = {
 }
 
 
+def _buffered_and_unbuffered(values, ids):
+    """Parameters ``value, unbuffered``: each of ``values`` run with block-
+    buffered and with unbuffered stdio (``python -u``); the buffered case
+    keeps its own id."""
+    return [
+        pytest.param(value, unbuffered, id=case + "-unbuffered" * unbuffered)
+        for unbuffered in (False, True)
+        for value, case in zip(values, ids)
+    ]
+
+
+_STDOUT_FLAGS = _buffered_and_unbuffered(
+    [[], ["--stats-only"], ["--help"]], ["flags0", "flags1", "flags2"]
+)
+
+
 class _FullStream:
     """A standard stream on a full device: every write fails."""
 
@@ -416,42 +433,97 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @staticmethod
-    def _run_cli_into(stdout, flags, stderr=subprocess.PIPE):
-        """Run the CLI in a child interpreter with default (block-buffered)
-        stdout, so that bytes a failed flush left buffered are flushed again
-        at exit.  Without an ``--input`` in ``flags`` the toy boards are read."""
+    def _cli(flags, unbuffered):
+        """The argv and environment of a child interpreter running the CLI,
+        its stdio block-buffered, or unbuffered as under ``python -u``.
+        Without an ``--input`` in ``flags`` the toy boards are read."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         if "--input" not in flags:
             flags = ["--input", str(data_path(TOY_BOARDS)), *flags]
-        return subprocess.run(
-            [sys.executable, "-m", "interlock.cli", *flags],
-            stdout=stdout,
-            stderr=stderr,
-            env={**env, "PYTHONPATH": src},
-            text=True,
-            timeout=60,
-        )
+        return [sys.executable, "-m", "interlock.cli", *flags], {**env, "PYTHONPATH": src}
+
+    @classmethod
+    def _run_cli_into(cls, stdout, flags, stderr=subprocess.PIPE, unbuffered=False):
+        """Run the CLI in a child interpreter; block-buffered, the bytes a
+        failed flush left buffered are flushed again at exit."""
+        argv, env = cls._cli(flags, unbuffered)
+        return subprocess.run(argv, stdout=stdout, stderr=stderr, env=env, text=True, timeout=60)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    @pytest.mark.parametrize("flags", [[], ["--stats-only"], ["--help"]])
-    def test_stdout_on_a_full_device_exits_2_without_traceback(self, flags):
+    @pytest.mark.parametrize("flags, unbuffered", _STDOUT_FLAGS)
+    def test_stdout_on_a_full_device_exits_2_without_traceback(self, flags, unbuffered):
         with open("/dev/full", "w") as full:
-            done = self._run_cli_into(full, flags)
+            done = self._run_cli_into(full, flags, unbuffered=unbuffered)
         assert (done.returncode, done.stderr) == (
             2,
             "cannot write stdout: [Errno 28] No space left on device\n",
         )
 
-    @pytest.mark.parametrize("flags", [[], ["--stats-only"], ["--help"]])
-    def test_stdout_to_a_closed_pipe_exits_2_without_traceback(self, flags):
+    @pytest.mark.parametrize("flags, unbuffered", _STDOUT_FLAGS)
+    def test_stdout_to_a_closed_pipe_exits_2_without_traceback(self, flags, unbuffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = self._run_cli_into(write_end, flags)
+            done = self._run_cli_into(write_end, flags, unbuffered=unbuffered)
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (2, "cannot write stdout: [Errno 32] Broken pipe\n")
+
+    @classmethod
+    def _popen(cls, flags, unbuffered):
+        argv, env = cls._cli(flags, unbuffered)
+        return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+    @staticmethod
+    def _pairs(folder):
+        """1000 journals in pairs: a ~290 KB report with ~90 KB of tables,
+        longer than a pipe holds (64 KiB on Linux)."""
+        boards = folder / "pairs.csv"
+        boards.write_text("actor,event\n" + "".join(f"a{k // 2},J{k}\n" for k in range(1000)))
+        return str(boards)
+
+    # The reader goes away while a write is blocked on the full pipe, so that
+    # write takes only part of the bytes and only the next one fails.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flags", [[], ["--tables", "--out", os.devnull]], ids=["report", "tables"])
+    def test_stdout_reader_gone_after_20_bytes_of_a_long_output_exits_2(
+        self, tmp_path, flags, unbuffered
+    ):
+        with self._popen(["--input", self._pairs(tmp_path), *flags], unbuffered) as child:
+            assert len(child.stdout.read(20)) == 20
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 2
+        assert err == "cannot write stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stdout_on_a_full_non_blocking_pipe_exits_2(self, tmp_path, unbuffered):
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        try:  # nothing is read before the run ends
+            done = self._run_cli_into(
+                write_end, ["--input", self._pairs(tmp_path)], unbuffered=unbuffered
+            )
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        reason = f"[Errno {errno.EAGAIN}] write could not complete without blocking"
+        assert (done.returncode, done.stderr) == (2, f"cannot write stdout: {reason}\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stderr_reader_gone_after_20_bytes_of_warnings_exits_2(self, tmp_path, unbuffered):
+        boards = tmp_path / "dups.csv"
+        boards.write_text("actor,event\n" + "a,J1\n" * 5000)  # 4999 duplicate warnings
+        flags = ["--input", str(boards), "--out", str(tmp_path / "r.json")]
+        with self._popen(flags, unbuffered) as child:
+            assert len(child.stderr.read(20)) == 20
+            child.stderr.close()
+            assert child.stdout.read() == b""
+            assert child.wait(timeout=60) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["dups.csv"]
 
     def test_help_that_cannot_be_written_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdout", _FullStream())
@@ -481,13 +553,18 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ([name] if name else [])
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    @pytest.mark.parametrize("case", ["parse-error", "missing-input", "warnings", "usage"])
-    def test_stderr_on_a_full_device_keeps_the_status_without_exit_120(self, tmp_path, case):
+    @pytest.mark.parametrize(
+        "case, unbuffered",
+        _buffered_and_unbuffered(*[["parse-error", "missing-input", "warnings", "usage"]] * 2),
+    )
+    def test_stderr_on_a_full_device_keeps_the_status_without_exit_120(
+        self, tmp_path, case, unbuffered
+    ):
         name, text, flags, status = _DEAD_STDERR[case]
         argv = self._dead_stderr_argv(tmp_path, name, text, flags)
         argv = [str(tmp_path / a) if a == "r.json" else a for a in argv]
         with open("/dev/full", "w") as full:
-            done = self._run_cli_into(subprocess.PIPE, argv, stderr=full)
+            done = self._run_cli_into(subprocess.PIPE, argv, stderr=full, unbuffered=unbuffered)
         assert (done.returncode, done.stdout) == (status, "")
         assert [p.name for p in tmp_path.iterdir()] == ([name] if name else [])
 
