@@ -233,10 +233,14 @@ def _analyze(args: argparse.Namespace) -> None:
         return _run_degree_census(args, text)
     parse = parse_net_two_mode if fmt == "net" else parse_csv_affiliations
     two_mode, diags = parse(text, casefold_actors=args.normalize_names)
-    warnings = "".join(f"{args.input}:{no}: warning: {why}\n" for no, why in diags.warnings)
+    prefix = f"{args.input}:"
+    warnings = "".join([f"{prefix}{no}: warning: {why}\n" for no, why in diags.warnings])
     if warnings and _write(sys.stderr, warnings):  # before any output, all or nothing
         raise _Failure(2, "cannot write stderr")
     net = project_events(two_mode)
+    # the report's allocations can then reuse the memory of the input, the
+    # seat store and the warnings, which lowers the run's peak RSS
+    del text, two_mode, diags, warnings
 
     tables = ""
     if args.stats_only:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
 from collections.abc import Iterable
+from itertools import chain
 
 from .model import DENSITY_NO_LOOPS, OneModeNetwork, pair_density
 
@@ -37,14 +38,14 @@ class SliceDecomposition(namedtuple("SliceDecomposition", "m network components"
 
 
 def line_multiplicity_distribution(net: OneModeNetwork) -> LineMultiplicityDistribution:
-    """Count lines by value; relative frequencies divide by the line total."""
-    values = [value for _, _, value in net.edges()]
-    total = len(values)
+    """Count lines by value; relative frequencies divide by the line total.
+    The position rows hold each line at both ends, so counts are halved."""
+    doubled = Counter(chain.from_iterable(map(dict.values, net._rows)))
+    total = sum(doubled.values()) // 2
     if total == 0:
         return LineMultiplicityDistribution(rows=[], max_value=0)
-    freq = Counter(values)
-    max_value = max(freq)
-    rows = [(v, freq.get(v, 0), freq.get(v, 0) / total) for v in range(1, max_value + 1)]
+    max_value = max(doubled)
+    rows = [(v, doubled[v] // 2, doubled[v] // 2 / total) for v in range(1, max_value + 1)]
     return LineMultiplicityDistribution(rows=rows, max_value=max_value)
 
 
@@ -114,13 +115,16 @@ def slice_decomposition(
     m: int,
     density_variant: str = DENSITY_NO_LOOPS,
 ) -> SliceDecomposition:
-    """Slice at threshold ``m`` and summarize each weak component of the slice."""
+    """Slice at threshold ``m`` and summarize each weak component of the slice.
+
+    Components are maximal, so each slice line lies inside exactly one of
+    them, and a component's line count is half its members' degree total.
+    """
     sliced = m_slice(net, m)
-    return SliceDecomposition(
-        m=m,
-        network=sliced,
-        components=[
-            component_summary(sliced, members, density_variant)
-            for members in weak_components(sliced)
-        ],
-    )
+    degree = dict(zip(sliced.vertices, sliced.degrees())).__getitem__
+    components = []
+    for members in weak_components(sliced):
+        size, edge_count = len(members), sum(map(degree, members)) // 2
+        density = pair_density(size, edge_count, density_variant)
+        components.append(ComponentSummary(members, size, edge_count, density))
+    return SliceDecomposition(m=m, network=sliced, components=components)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 import unicodedata
 
 from .model import EMPTY_IDENTIFIER, OneModeNetwork, TwoModeNetwork, normalize_identifier
@@ -130,9 +129,9 @@ def parse_csv_affiliations(
             records += 1
             held = holdings.get(aid)
             if held is None:
-                holdings[aid] = {eid}
+                holdings[aid] = {eid: None}
             elif eid not in held:
-                held.add(eid)
+                held[eid] = None
             else:
                 duplicates += 1
                 # repr(row), without the list repr's recursion guard
@@ -144,27 +143,32 @@ def parse_csv_affiliations(
     return net, diags
 
 
-_VERTEX_LINE = re.compile(r'^\s*(\d+)\s+"([^"]*)"(?:\s+.*)?$')
-
-
 def _parse_vertex_defs(
     lines: list[tuple[int, str]], n: int
 ) -> tuple[dict[int, str], dict[int, int]]:
     """Label and source line of each vertex of 1..n that an ``index
     "label"`` line defines; trailing tokens are ignored.  Only defined
     indices are stored: the callers name an undefined index by its number
-    and locate it at the ``*Vertices`` line."""
+    and locate it at the ``*Vertices`` line.  A line that does not read as
+    digits, whitespace and a quoted label is split into tokens instead."""
     names: dict[int, str] = {}
     where: dict[int, int] = {}
     for no, line in lines:
-        m = _VERTEX_LINE.match(line)
-        if m:
-            idx, label = _int(m.group(1), no), m.group(2)
-        else:
+        head, _, rest = line.partition('"')
+        token = head.strip()
+        label, quoted, tail = rest.partition('"')
+        if not (
+            quoted and token.isdecimal() and head[-1].isspace()
+            and (not tail or tail[0].isspace())
+        ):
             parts = line.split()
             if len(parts) < 2 or not parts[0].isdecimal():
                 raise FormatError(no, f"malformed vertex line: {line!r}")
-            idx, label = _int(parts[0], no), parts[1]
+            token, label = parts[0], parts[1]
+        try:
+            idx = int(token)
+        except ValueError:  # raised again, by _int, as too long
+            idx = _int(token, no)
         if not 1 <= idx <= n:
             raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
         if idx in where:
@@ -309,9 +313,9 @@ def parse_net_two_mode(
         eid = event_ids[event_idx]
         held = holdings.get(aid)
         if held is None:
-            holdings[aid] = {eid}
+            holdings[aid] = {eid: None}
         elif eid not in held:
-            held.add(eid)
+            held[eid] = None
         else:
             duplicates += 1
             warn((no, f"duplicate affiliation collapsed: {i} {j}"))
@@ -384,11 +388,9 @@ def write_net_one_mode(net: OneModeNetwork) -> str:
     lines are ``i j value`` with i < j.
     """
     out = [f"*Vertices {net.n}"]
-    for pos, v in enumerate(net.vertices, start=1):
-        out.append(f"{pos} {_net_quote(net.label(v))}")
+    out += [f"{pos} {_net_quote(net.label(v))}" for pos, v in enumerate(net.vertices, start=1)]
     out.append("*Edges")
-    for u, v, value in net.edges():
-        out.append(f"{net.index(u) + 1} {net.index(v) + 1} {value}")
+    out += [f"{i + 1} {j + 1} {value}" for i, j, value in net._lines()]
     return "\n".join(out) + "\n"
 
 
@@ -398,8 +400,7 @@ def write_edge_list_csv(net: OneModeNetwork) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source", "target", "value"])
-    for u, v, value in net.edges():
-        writer.writerow([u, v, value])
+    writer.writerows(net.edges())
     return buf.getvalue()
 
 
@@ -409,17 +410,16 @@ def _dot_quote(text: str) -> str:
 
 def write_dot(net: OneModeNetwork) -> str:
     """Graphviz rendering of the valued network (undirected)."""
+    vertices = net.vertices
+    quoted = list(map(_dot_quote, vertices))  # each id quoted once, by position
     out = ["graph interlock {"]
-    for v in net.vertices:
+    for q, v in zip(quoted, vertices):
         label = net.label(v)
-        if label != v:
-            out.append(f"  {_dot_quote(v)} [label={_dot_quote(label)}];")
-        else:
-            out.append(f"  {_dot_quote(v)};")
-    for u, v, value in net.edges():
-        out.append(
-            f"  {_dot_quote(u)} -- {_dot_quote(v)} [label={_dot_quote(str(value))}, weight={value}];"
-        )
+        out.append(f"  {q} [label={_dot_quote(label)}];" if label != v else f"  {q};")
+    out += [
+        f'  {quoted[i]} -- {quoted[j]} [label="{value}", weight={value}];'
+        for i, j, value in net._lines()
+    ]
     out.append("}")
     return "\n".join(out) + "\n"
 

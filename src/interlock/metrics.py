@@ -403,14 +403,13 @@ def closeness_centrality(
     check_variant("closeness", variant, CLOSENESS_VARIANTS)
     i = net.index(vertex)
     sums = path_sums(net)
-    r = sums.reach[i]
-    total = sums.distance_sum[i]
+    return _closeness(sums.reach[i], sums.distance_sum[i], net.n, variant)
+
+
+def _closeness(r: int, total: int, n: int, variant: str) -> float:
     if r == 0:
         return 0.0
-    score = r / total
-    if variant == "component":
-        score *= r / (net.n - 1)
-    return score
+    return r / total * (r / (n - 1)) if variant == "component" else r / total
 
 
 def betweenness_centrality(net: OneModeNetwork) -> dict[str, float]:
@@ -489,8 +488,11 @@ def vertex_metrics(
     """
     n = net.n
     degrees = net.degrees()
+    check_variant("closeness", closeness_variant, CLOSENESS_VARIANTS)
+    sums = path_sums(net)
     closeness = [
-        closeness_centrality(net, v, closeness_variant) for v in net.vertices
+        _closeness(r, total, n, closeness_variant)
+        for r, total in zip(sums.reach, sums.distance_sum)
     ]
     betweenness_map = betweenness_centrality(net)
     betweenness = [betweenness_map[v] for v in net.vertices]

@@ -56,12 +56,15 @@ def pair_density(n: int, m: int, variant: str) -> float:
 
 class TwoModeNetwork:
     """Affiliation structure: events (boards) and actors, each seat stored
-    once, in its actor's set of events.
+    once, as a key of its actor's dictionary of events.
 
     Event and actor identifiers live in disjoint namespaces; the same token
     may name both an event and an actor.  Construction is single-writer;
     once built, instances are treated as immutable values and are safe for
     concurrent reads.
+
+    A dictionary of strings and ``None``, unlike a set, is never tracked by
+    the cyclic garbage collector, so collections do not walk one per actor.
 
     Package-private: both readers in :mod:`interlock.io` store each seat by
     normalized id straight into ``_actor_events``, as :meth:`add_affiliation`
@@ -75,7 +78,7 @@ class TwoModeNetwork:
         self._event_ids: dict[str, str] = {}  # raw token -> normalized id
         # event id -> label / actor id -> its event ids, in encounter order
         self._events: dict[str, str] = {}
-        self._actor_events: dict[str, set[str]] = {}
+        self._actor_events: dict[str, dict[str, None]] = {}
 
     def add_event(self, event: str, label: str | None = None) -> str:
         """Register an event; an empty board is fine.  Returns the stored id.
@@ -100,10 +103,10 @@ class TwoModeNetwork:
         aid = normalize_identifier(actor, casefold=self.casefold_actors)
         held = self._actor_events.get(aid)
         if held is None:
-            held = self._actor_events[aid] = set()
+            held = self._actor_events[aid] = {}
         elif eid in held:
             return False
-        held.add(eid)
+        held[eid] = None
         return True
 
     @property
@@ -133,8 +136,9 @@ class TwoModeNetwork:
         return self._events[event]
 
     def holdings(self) -> Iterable[Set[str]]:
-        """Every actor's events, in actor order, as stored; read-only."""
-        return self._actor_events.values()
+        """Every actor's events, in actor order, as read-only key views of
+        the stored dictionaries."""
+        return map(dict.keys, self._actor_events.values())
 
     def seats(self) -> int:
         """Total board seats (memberships counted once per event/actor pair)."""
@@ -283,31 +287,41 @@ class OneModeNetwork:
         order = view.vertices
         return tuple([order[j] for j in view.adjacency[self.index(vertex)]])
 
+    @classmethod
+    def _from_rows(cls, index: dict[str, int], labels: dict[str, str], rows) -> OneModeNetwork:
+        """A network owning stores valid by construction: normalized ids, and
+        rows symmetric, positive and loop-free."""
+        net = cls()
+        net._index, net._labels, net._rows = index, labels, rows
+        return net
+
     def _slice(self, m: int) -> OneModeNetwork:
         """Every vertex and label, with only the lines valued ``m`` or more.
 
         Each position row is filtered by value: the ids are already
         normalized and the rows valid, and a filter keeps them so.
         """
-        out = OneModeNetwork()
-        out._index = dict(self._index)
-        out._labels = dict(self._labels)
-        out._rows = [{j: value for j, value in row.items() if value >= m} for row in self._rows]
-        return out
+        return OneModeNetwork._from_rows(
+            dict(self._index),
+            dict(self._labels),
+            [{j: value for j, value in row.items() if value >= m} for row in self._rows],
+        )
 
     def value(self, u: str, v: str) -> int:
         """Line value between two vertices; 0 when no line exists."""
         i, j = self.index(u), self.index(v)
         return self._rows[i].get(j, 0)
 
+    def _lines(self) -> list[tuple[int, int, int]]:
+        """(i, j, value) once per line, by position, i < j, in edges() order."""
+        rows, adjacency = self._rows, self.frozen().adjacency
+        return [(i, j, rows[i][j]) for i, nbrs in enumerate(adjacency) for j in nbrs if j > i]
+
     def edges(self) -> Iterator[tuple[str, str, int]]:
         """Yield (u, v, value) once per line, u before v in vertex order."""
-        view = self.frozen()
-        order = view.vertices
-        for i, (nbrs, row) in enumerate(zip(view.adjacency, self._rows)):
-            for j in nbrs:
-                if j > i:
-                    yield order[i], order[j], row[j]
+        order = self.frozen().vertices
+        for i, j, value in self._lines():
+            yield order[i], order[j], value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OneModeNetwork):

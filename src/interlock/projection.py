@@ -14,18 +14,19 @@ from itertools import chain, combinations
 from .model import OneModeNetwork, TwoModeNetwork
 
 
-def _project(vertices, labels, groups) -> OneModeNetwork:
-    net = OneModeNetwork()
-    for v in vertices:
-        net.add_vertex(v, labels(v))
-    pos = {v: i for i, v in enumerate(vertices)}.__getitem__
+def _project(vertices, labels: dict[str, str], groups) -> OneModeNetwork:
+    """Count each group's vertex pairs by position and write the counts
+    straight into position rows: the vertices are normalized ids already,
+    and a count is a positive value of a pair of distinct positions."""
+    index = {v: i for i, v in enumerate(vertices)}
+    pos = index.__getitem__
     counts: Counter[tuple[int, int]] = Counter(
         chain.from_iterable(combinations(sorted(map(pos, g)), 2) for g in groups if len(g) > 1)
     )
-    order = net.vertices
-    for (i, j), value in sorted(counts.items()):
-        net.add_edge(order[i], order[j], value)
-    return net
+    rows: list[dict[int, int]] = [{} for _ in vertices]
+    for (i, j), value in counts.items():
+        rows[i][j] = rows[j][i] = value
+    return OneModeNetwork._from_rows(index, labels, rows)
 
 
 def project_events(net: TwoModeNetwork) -> OneModeNetwork:
@@ -34,7 +35,7 @@ def project_events(net: TwoModeNetwork) -> OneModeNetwork:
     Vertices keep event ingestion order, so downstream reports are
     deterministic.
     """
-    return _project(net.events, net.event_label, net.holdings())
+    return _project(net.events, dict(net._events), net._actor_events.values())
 
 
 def project_actors(net: TwoModeNetwork) -> OneModeNetwork:
@@ -46,4 +47,4 @@ def project_actors(net: TwoModeNetwork) -> OneModeNetwork:
     for actor, held in zip(net.actors, net.holdings()):
         for event in held:
             boards.setdefault(event, []).append(actor)
-    return _project(net.actors, lambda a: a, boards.values())
+    return _project(net.actors, {}, boards.values())

@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import fsum
 
 from interlock import (
@@ -22,14 +23,20 @@ from interlock import (
     DENSITY_NO_LOOPS,
     BipartitenessError,
     FormatError,
+    LineMultiplicityDistribution,
     OneModeNetwork,
+    SliceDecomposition,
     TwoModeNetwork,
+    component_summary,
     degree_centralization,
     degree_stats,
+    m_slice,
     pair_density,
+    weak_components,
 )
-from interlock.io import ParseDiagnostics, _int, _parse_vertex_defs, _split_sections, _vertex_name
-from interlock.model import normalize_identifier
+from interlock.io import ParseDiagnostics
+from interlock.metrics import CLOSENESS_VARIANTS, path_sums
+from interlock.model import check_variant, normalize_identifier
 from interlock.report import DENSITY_NOTE
 
 
@@ -584,25 +591,60 @@ def reference_parse_degree_list_csv(text: str) -> tuple[list[int], int]:
     return degrees, len(degrees)
 
 
+# The NET vertex-line reader as it stood when each line was matched by a
+# regular expression and its index read by a helper.  Kept verbatim so the
+# rewritten reader is held to the same labels, error lines and reasons.
+
+_REFERENCE_VERTEX_LINE = re.compile(r'^\s*(\d+)\s+"([^"]*)"(?:\s+.*)?$')
+
+
+def reference_parse_vertex_defs(
+    lines: list[tuple[int, str]], n: int
+) -> tuple[dict[int, str], dict[int, int]]:
+    names: dict[int, str] = {}
+    where: dict[int, int] = {}
+    for no, line in lines:
+        m = _REFERENCE_VERTEX_LINE.match(line)
+        if m:
+            idx, label = _reference_int(m.group(1), no), m.group(2)
+        else:
+            parts = line.split()
+            if len(parts) < 2 or not parts[0].isdecimal():
+                raise FormatError(no, f"malformed vertex line: {line!r}")
+            idx, label = _reference_int(parts[0], no), parts[1]
+        if not 1 <= idx <= n:
+            raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
+        if idx in where:
+            raise FormatError(no, f"vertex {idx} defined twice")
+        names[idx], where[idx] = label, no
+    return names, where
+
+
+def _reference_vertex_name(names: dict[int, str], idx: int) -> str:
+    return names[idx] if idx in names else str(idx)
+
+
 # The two-mode NET reader as it stood before its edge loop resolved each
 # actor once: every edge normalizes its actor's label and records the seat
-# through ``add_affiliation``.  Kept verbatim so the rewritten reader is
-# held to the same network, warnings, error lines and reasons.
+# through ``add_affiliation``.  Kept verbatim, over the reference section
+# scan and vertex-line reader above and none of the library's own reader
+# helpers, so the rewritten reader is held to the same network, warnings,
+# error lines and reasons.
 
 
 def reference_parse_net_two_mode(
     text: str, *, casefold_actors: bool = False
 ) -> tuple[TwoModeNetwork, ParseDiagnostics]:
     diags = ParseDiagnostics()
-    head_no, (n, n_events), vertex_lines, edge_lines = _split_sections(text, 2)
+    head_no, (n, n_events), vertex_lines, edge_lines = reference_split_sections(text, 2)
     if n_events > n:
         raise FormatError(head_no, f"event count {n_events} exceeds vertex count {n}")
-    names, def_lines = _parse_vertex_defs(vertex_lines, n)
+    names, def_lines = reference_parse_vertex_defs(vertex_lines, n)
 
     net = TwoModeNetwork(casefold_actors=casefold_actors)
     seen_events: set[str] = set()
     for i in range(1, n_events + 1):
-        label = _vertex_name(names, i)
+        label = _reference_vertex_name(names, i)
         try:
             eid = net.add_event(label, label)
         except ValueError as exc:
@@ -625,7 +667,7 @@ def reference_parse_net_two_mode(
     for i in sorted({*defined_actors, *(k for k in numbered if n_events < k <= n)}):
         aid = ids.get(i, str(i))
         if aid in seen_actors:
-            label = _vertex_name(names, i)
+            label = _reference_vertex_name(names, i)
             raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
         seen_actors.add(aid)
 
@@ -636,7 +678,7 @@ def reference_parse_net_two_mode(
             p.removeprefix("-").isdecimal() for p in parts[:2]
         ):
             raise FormatError(no, f"malformed edge line: {line!r}")
-        i, j = _int(parts[0], no), _int(parts[1], no)
+        i, j = _reference_int(parts[0], no), _reference_int(parts[1], no)
         for idx in (i, j):
             if not 1 <= idx <= n:
                 raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
@@ -649,7 +691,7 @@ def reference_parse_net_two_mode(
         diags.records_read += 1
         try:
             added = net.add_affiliation(
-                _vertex_name(names, event_idx), _vertex_name(names, actor_idx)
+                _reference_vertex_name(names, event_idx), _reference_vertex_name(names, actor_idx)
             )
         except ValueError as exc:
             raise FormatError(no, str(exc)) from None
@@ -674,3 +716,122 @@ def reference_parse_net_two_mode(
             diags.warn(def_lines[idx], f"actor vertex {names[idx]!r} has no affiliation; dropped")
         prev = idx
     return net, diags
+
+
+# The passes after the sweep as they stood when they went from names to
+# positions and back one vertex or line at a time: the projection through
+# add_vertex and add_edge, the writers and the line-value table over
+# edges(), a slice's components summarized by component_summary, and
+# closeness read per vertex.  Kept verbatim so the position-based passes
+# are held to the same networks, text, errors and floats.
+
+
+def _reference_project(vertices, labels, groups) -> OneModeNetwork:
+    net = OneModeNetwork()
+    for v in vertices:
+        net.add_vertex(v, labels(v))
+    pos = {v: i for i, v in enumerate(vertices)}.__getitem__
+    counts: Counter[tuple[int, int]] = Counter(
+        chain.from_iterable(combinations(sorted(map(pos, g)), 2) for g in groups if len(g) > 1)
+    )
+    order = net.vertices
+    for (i, j), value in sorted(counts.items()):
+        net.add_edge(order[i], order[j], value)
+    return net
+
+
+def reference_project_events(net: TwoModeNetwork) -> OneModeNetwork:
+    return _reference_project(net.events, net.event_label, net.holdings())
+
+
+def reference_project_actors(net: TwoModeNetwork) -> OneModeNetwork:
+    boards: dict[str, list[str]] = {}
+    for actor, held in zip(net.actors, net.holdings()):
+        for event in held:
+            boards.setdefault(event, []).append(actor)
+    return _reference_project(net.actors, lambda a: a, boards.values())
+
+
+def _reference_net_quote(label: str) -> str:
+    if '"' in label or label.splitlines() != [label]:
+        raise ValueError(f"label not representable in NET output: {label!r}")
+    return f'"{label}"'
+
+
+def reference_write_net_one_mode(net: OneModeNetwork) -> str:
+    out = [f"*Vertices {net.n}"]
+    for pos, v in enumerate(net.vertices, start=1):
+        out.append(f"{pos} {_reference_net_quote(net.label(v))}")
+    out.append("*Edges")
+    for u, v, value in net.edges():
+        out.append(f"{net.index(u) + 1} {net.index(v) + 1} {value}")
+    return "\n".join(out) + "\n"
+
+
+def reference_write_edge_list_csv(net: OneModeNetwork) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["source", "target", "value"])
+    for u, v, value in net.edges():
+        writer.writerow([u, v, value])
+    return buf.getvalue()
+
+
+def _reference_dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_write_dot(net: OneModeNetwork) -> str:
+    q = _reference_dot_quote
+    out = ["graph interlock {"]
+    for v in net.vertices:
+        label = net.label(v)
+        if label != v:
+            out.append(f"  {q(v)} [label={q(label)}];")
+        else:
+            out.append(f"  {q(v)};")
+    for u, v, value in net.edges():
+        out.append(f"  {q(u)} -- {q(v)} [label={q(str(value))}, weight={value}];")
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def reference_line_multiplicity_distribution(net: OneModeNetwork) -> LineMultiplicityDistribution:
+    values = [value for _, _, value in net.edges()]
+    total = len(values)
+    if total == 0:
+        return LineMultiplicityDistribution(rows=[], max_value=0)
+    freq = Counter(values)
+    max_value = max(freq)
+    rows = [(v, freq.get(v, 0), freq.get(v, 0) / total) for v in range(1, max_value + 1)]
+    return LineMultiplicityDistribution(rows=rows, max_value=max_value)
+
+
+def reference_slice_decomposition(
+    net: OneModeNetwork, m: int, density_variant: str = DENSITY_NO_LOOPS
+) -> SliceDecomposition:
+    sliced = m_slice(net, m)
+    return SliceDecomposition(
+        m=m,
+        network=sliced,
+        components=[
+            component_summary(sliced, members, density_variant)
+            for members in weak_components(sliced)
+        ],
+    )
+
+
+def reference_closeness_centrality(
+    net: OneModeNetwork, vertex: str, variant: str = "paper"
+) -> float:
+    check_variant("closeness", variant, CLOSENESS_VARIANTS)
+    i = net.index(vertex)
+    sums = path_sums(net)
+    r = sums.reach[i]
+    total = sums.distance_sum[i]
+    if r == 0:
+        return 0.0
+    score = r / total
+    if variant == "component":
+        score *= r / (net.n - 1)
+    return score

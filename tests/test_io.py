@@ -8,6 +8,7 @@ from oracles import (
     reference_parse_csv_affiliations,
     reference_parse_degree_list_csv,
     reference_parse_net_two_mode,
+    reference_parse_vertex_defs,
     reference_split_sections,
     validate_two_mode,
 )
@@ -25,7 +26,7 @@ from interlock import (
     write_edge_list_csv,
     write_net_one_mode,
 )
-from interlock.io import _split_sections, csv_kind
+from interlock.io import _parse_vertex_defs, _split_sections, csv_kind
 from interlock.model import normalize_identifier
 
 
@@ -545,6 +546,30 @@ def _two_mode_outcome(parse, text, casefold):
 def test_net_two_mode_matches_reference(text, casefold):
     assert _two_mode_outcome(parse_net_two_mode, text, casefold) == _two_mode_outcome(
         reference_parse_net_two_mode, text, casefold
+    )
+
+
+# NET vertex lines: the quoted form with spaces, tabs and non-ASCII spaces
+# or digits around it, tails glued to the closing quote, a missing closing
+# quote, quotes elsewhere, bare tokens, an empty label, indices out of range,
+# repeated or too long for ``int``, and leading space the section scan strips.
+_VERTEX_LINES = [
+    '1 "a"', '1  "a b"  x', '1\t"a"', '1 "a"b', '1 "a', '1 a b', '1"a"', '"a" 1', '1 ""',
+    '1 "" tail', '2 "a""b"', '\u0661 "x"', '1\u3000"x y"', '1 "x"\u3000tail', '1 "x"\x85',
+    ' 1 "a"', '1 2 "a"', '1 "a" "b"', '\u00b2 "a"', '0 "a"', '3 "c"', f'{"9" * 5000} "a"',
+    f'{"9" * 5000} a', "x \"a\"", "1", "", "2 b\"c", '2\x0c"f"',
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    lines=st.lists(st.sampled_from(_VERTEX_LINES), max_size=6),
+    n=st.integers(1, 3),
+)
+def test_net_vertex_lines_match_reference(lines, n):
+    numbered = list(enumerate(lines, start=2))
+    assert _outcome(_parse_vertex_defs, numbered, n) == _outcome(
+        reference_parse_vertex_defs, numbered, n
     )
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,29 @@ class TestCli:
         assert err.startswith(f"cannot {verb} {paths[position]}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_seat_store_is_released_before_the_report_is_built(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import interlock.cli as cli
+
+        shutil.copy(data_path(TOY_BOARDS), tmp_path / "boards.csv")
+        seen = {}
+
+        def parse(text, **kwargs):
+            two_mode, diags = parse_csv_affiliations(text, **kwargs)
+            seen["two_mode"] = weakref.ref(two_mode)
+            return two_mode, diags
+
+        def report(net, **kwargs):
+            seen["alive_at_report"] = seen["two_mode"]() is not None
+            return build_report(net, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_csv_affiliations", parse)
+        monkeypatch.setattr(cli, "build_report", report)
+        assert run_analyze(["--input", str(tmp_path / "boards.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["vertices"]
+        assert seen["alive_at_report"] is False
 
     def test_paths_are_opened_and_named_as_pathlib_spells_them(
         self, tmp_path, monkeypatch, capsys
