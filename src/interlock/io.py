@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import unicodedata
+from itertools import compress
 
 from .model import EMPTY_IDENTIFIER, OneModeNetwork, TwoModeNetwork, normalize_identifier
 
@@ -394,14 +395,27 @@ def write_net_one_mode(net: OneModeNetwork) -> str:
     return "\n".join(out) + "\n"
 
 
+class _Rows(list):
+    """A list that a ``csv.writer`` writes into, one string per row."""
+
+    write = list.append
+
+
 def write_edge_list_csv(net: OneModeNetwork) -> str:
     """Edge list with header ``source,target,value``, one row per line,
-    ordered by (source position, target position)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "target", "value"])
-    writer.writerows(net.edges())
-    return buf.getvalue()
+    ordered by (source position, target position).
+
+    The csv module renders each id that has a line once, as a cell of its
+    own: a field's quoting does not depend on the fields beside it, and an
+    id is never empty (the one field the module quotes only when alone).
+    """
+    vertices, rows = net.frozen().vertices, net._rows
+    cells = _Rows()
+    csv.writer(cells, lineterminator="\n").writerows(zip(compress(vertices, rows)))
+    cell = dict(zip(compress(range(len(rows)), rows), (c[:-1] for c in cells)))
+    out = ["source,target,value"]
+    out += [f"{cell[i]},{cell[j]},{value}" for i, j, value in net._lines()]
+    return "\n".join(out) + "\n"
 
 
 def _dot_quote(text: str) -> str:

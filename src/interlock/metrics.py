@@ -164,7 +164,7 @@ def _sweep(view: GraphView) -> PathSums:
 # A component whose k*m reaches this is swept by several processes where
 # the platform can fork: below it, a fork costs more than it saves.
 _SPLIT_WORK = 50_000
-# The most delta bytes a child buffers in one round: 4 MiB, 524 sources of
+# The most record bytes one child ships in one round: 4 MiB, 524 sources of
 # a 1000-vertex component.
 _ROUND_BYTES = 1 << 22
 
@@ -176,13 +176,13 @@ def _sweep_component(adj: list[list[int]], work: int) -> tuple[list[float], list
     In one process (:func:`_split_cpus`) the sources are swept in order,
     each adding its dependencies into ``dep`` as it goes.  In more, they are
     taken in rounds of contiguous blocks, one process pinned to each CPU:
-    this process sweeps a round's first block the same way, and a forked
-    child each later block, shipping every source's ``delta`` vector, which
-    is then added into ``dep`` whole, in source order.  Either way each ``dep``
-    entry receives one addition per source, in source order.  A child never
-    sums its own sources, as that would regroup the additions and change
-    the bits.  Pinning matters: a scheduler may leave a forked child on its
-    parent's CPU for tens of milliseconds.
+    a forked child streams each later block's sources as ``delta`` vectors,
+    each added into ``dep`` whole, and this process sweeps what no child
+    delivers (:func:`_sweep_round`).  Either way each ``dep`` entry receives
+    one addition per source, in source order.  A child never sums its own
+    sources, as that would regroup the additions and change the bits.
+    Pinning matters: a scheduler may leave a forked child on its parent's
+    CPU for tens of milliseconds.
     """
     k = len(adj)
     dep = [0.0] * k
@@ -223,10 +223,11 @@ def _split_cpus(k: int, work: int) -> list[int]:
     return sorted(os.sched_getaffinity(0))[: min(k, 1 + work // max(_SPLIT_WORK, 1))]
 
 
-def _pin(cpus) -> None:
-    """Run this process on ``cpus`` only, where the platform allows it."""
+def _pin(cpus, pid: int = 0) -> None:
+    """Run process ``pid`` (0: this one) on ``cpus`` only, where the
+    platform allows it."""
     try:
-        os.sched_setaffinity(0, cpus)
+        os.sched_setaffinity(pid, cpus)
     except OSError:
         pass
 
@@ -238,90 +239,95 @@ def _sweep_round(
     dep: list[float],
     totals: list[int],
 ) -> None:
-    """Sweep ``blocks[0]`` here and every later block in a child forked
-    onto the matching CPU, and take the children's sweeps in block order.
+    """Sweep a round's ``blocks``: each after the first in a child forked
+    onto the matching CPU (:func:`_fork_sweep`), which streams its sources'
+    records from the highest down, while this process climbs the round's
+    sources from the lowest up and never waits.
 
-    A block whose child could not be forked, exited non-zero or wrote short
-    is swept here instead.  Every child is reaped before this returns, and
-    killed first if this raises.
+    Before each source this process drains every child's pipe without
+    blocking.  If the source's child has delivered it, it has delivered the
+    rest of its block too: those records are added in source order and the
+    climb jumps to the next block.  Else this process sweeps the source
+    itself.  Either way each ``dep`` entry gets one addition per source, in
+    source order.  Only a whole record counts as delivered, so whatever a
+    child did not deliver (it was not forked, stalled, died or wrote short)
+    is swept here.  When the round ends every child is killed, its pipe
+    closed and the child reaped.
     """
+    words = len(adj) + 1  # machine words per record: the distance sum, then k deltas
     live: dict = {}  # pid -> read end of the pipe of each child not yet reaped
     try:
-        pids = []
+        inbox = [None]  # per block: its child's (read end, bytes received), if any
         for sources, cpu in zip(blocks[1:], cpus[1:]):
-            pids.append(_fork_sweep(adj, sources, cpu, live))
-        _sweep_sources(adj, blocks[0], dep, totals)
-        for sources, pid in zip(blocks[1:], pids):
-            if not (pid and _take_shipped(pid, live, sources, dep, totals)):
-                _sweep_sources(adj, sources, dep, totals)
-    except BaseException:
+            inbox.append(_fork_sweep(adj, sources, cpu, live))
+        for b, sources in enumerate(blocks):
+            for source in sources:
+                for pipe, data in filter(None, inbox):
+                    try:
+                        while chunk := os.read(pipe, 1 << 16):
+                            data += chunk
+                    except BlockingIOError:
+                        pass
+                size = 8 * words * (sources.stop - source)  # the rest of the block
+                if inbox[b] and len(inbox[b][1]) >= size:
+                    view = memoryview(inbox[b][1])[:size]
+                    sums, deltas = view.cast("q"), view.cast("d")
+                    for at in range(len(sums) - words, -1, -words):  # ascending sources
+                        totals[sources.stop - 1 - at // words] = sums[at]
+                        dep[:] = map(add, dep, deltas[at + 1 : at + words])
+                    break
+                _sweep_sources(adj, range(source, source + 1), dep, totals)
+            inbox[b] = None
+    finally:
         import signal
 
-        for pid in live:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
         for pid, pipe in live.items():
-            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.close(pipe)
             os.waitpid(pid, 0)
 
 
-def _fork_sweep(adj: list[list[int]], sources: range, cpu: int, live: dict) -> int:
-    """Fork a child that runs on ``cpu``, sweeps ``sources`` and writes
-    their distance sums, then their ``delta`` vectors, to a pipe as machine
-    words; its pid, with the pipe's read end put in ``live``, or 0 where no
-    pipe or process can be had."""
+def _fork_sweep(adj: list[list[int]], sources: range, cpu: int, live: dict):
+    """Fork a child, pinned from here to ``cpu``, that sweeps ``sources``
+    from the highest down and writes each one's record to a pipe as it
+    finishes: the distance sum as a machine ``'q'``, then the k ``delta``
+    entries as ``'d'``.  Returns the pipe's non-blocking read end and an
+    empty buffer for it, the read end also put in ``live``; or None where no
+    pipe or process can be had.
+
+    A record is 8(k+1) bytes, so from k = 8,192 on one no longer fits a
+    64 KiB pipe, and the child waits mid-record for the parent's next drain.
+    """
     try:
         r, w = os.pipe()
     except OSError:
-        return 0
+        return None
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        return 0
+        return None
     if pid:
+        live[pid] = r
+        _pin((cpu,), pid)
         os.close(w)
-        live[pid] = open(r, "rb")
-        return pid
-    status = 1  # the child: it never returns, and nothing it raises escapes
-    try:
-        _pin((cpu,))
+        os.set_blocking(r, False)
+        return r, bytearray()
+    try:  # the child: it never returns, and nothing it raises escapes
         from array import array
 
         k = len(adj)
-        totals = [0] * k
-        deltas = array("d")
-        _sweep_sources(adj, sources, [0.0] * k, totals, deltas)
+        dep, totals = [0.0] * k, [0] * k
         with open(w, "wb") as pipe:
-            pipe.write(array("q", totals[sources.start : sources.stop]))
-            pipe.write(deltas)
-        status = 0
+            for source in reversed(sources):
+                delta = array("d")
+                _sweep_sources(adj, range(source, source + 1), dep, totals, delta)
+                pipe.write(array("q", totals[source : source + 1]))
+                pipe.write(delta)
+                pipe.flush()
     finally:
-        os._exit(status)
-
-
-def _take_shipped(
-    pid: int, live: dict, sources: range, dep: list[float], totals: list[int]
-) -> bool:
-    """Read child ``pid``'s pipe to its end and reap the child; if it exited
-    0 and wrote every source's sweep, add those into ``totals`` and ``dep``,
-    one source at a time in source order, and return True."""
-    pipe = live[pid]
-    data = pipe.read()
-    pipe.close()
-    status = os.waitpid(pid, 0)[1]
-    del live[pid]
-    k, count = len(dep), len(sources)
-    if status or len(data) != 8 * count * (k + 1):
-        return False
-    words = memoryview(data)
-    totals[sources.start : sources.stop] = words[: 8 * count].cast("q").tolist()
-    deltas = words[8 * count :].cast("d")
-    for i in range(0, count * k, k):
-        dep[:] = map(add, dep, deltas[i : i + k])
-    return True
+        os._exit(0)
 
 
 def _sweep_sources(

@@ -2,6 +2,7 @@ import errno
 import os
 import random
 import threading
+import time
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -328,55 +329,136 @@ def _refuse_fork():
 
 
 _SWEEP_SOURCES = metrics._sweep_sources
+_FORK = os.fork
+
+
+def _blocks(k: int, cpus: int) -> list[range]:
+    """The blocks of a k-vertex component split ``cpus`` ways in one round."""
+    size = -(-k // cpus)
+    return [range(b, min(b + size, k)) for b in range(0, k, size)]
 
 
 def _exit_3_before_writing(adj, sources, *rest):
     os._exit(3)
 
 
-def _write_one_short(adj, sources, *rest):
-    return _SWEEP_SOURCES(adj, sources[:-1], *rest)
+def _write_one_and_a_part(adj, sources, dep, totals, deltas):
+    """A child's sweep that lets one whole record out, then part of the
+    next, then exits."""
+    done = sum(map(bool, totals))  # the sources this child has swept
+    if done == 2:
+        os._exit(3)
+    _SWEEP_SOURCES(adj, sources, dep, totals, deltas)
+    if done == 1:
+        del deltas[len(adj) // 2 :]
 
 
 def _raise(adj, sources, *rest):
     raise MemoryError
 
 
-# (child's sweep, os.fork in its place, every child exits 3, blocks swept
-# by the parent per component beyond its own)
+# (child's sweep, os.fork in its place, every child exits 3, whole records
+# each child delivers: None for its whole block)
 _FAULTS = {
-    "none": (_SWEEP_SOURCES, None, False, False),
-    "fork-refused": (_SWEEP_SOURCES, _refuse_fork, False, True),
-    "exit-3-before-writing": (_exit_3_before_writing, None, False, True),
-    "exit-3-after-writing": (_SWEEP_SOURCES, None, True, True),
-    "one-source-short": (_write_one_short, None, False, True),
-    "raises": (_raise, None, False, True),
+    "none": (_SWEEP_SOURCES, None, False, None),
+    "fork-refused": (_SWEEP_SOURCES, _refuse_fork, False, 0),
+    "exit-3-before-writing": (_exit_3_before_writing, None, False, 0),
+    "exit-3-after-writing": (_SWEEP_SOURCES, None, True, None),
+    "one-record-and-a-part": (_write_one_and_a_part, None, False, 1),
+    "raises": (_raise, None, False, 0),
 }
+
+
+def _swept_by_the_parent(
+    view, cpus, child_sweep=_SWEEP_SOURCES, parent_sweep=_SWEEP_SOURCES, fork=None
+):
+    """Sweep ``view`` split ``cpus`` ways and check the sums; the (component
+    size, source) pairs the parent swept itself, and the fork calls."""
+    parent, swept_here = os.getpid(), set()
+
+    def sweep(adj, sources, *rest):
+        if os.getpid() != parent:
+            return child_sweep(adj, sources, *rest)
+        swept_here.update((len(adj), source) for source in sources)
+        return parent_sweep(adj, sources, *rest)
+
+    with _split_forced(0, cpus, fork=fork) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_sweep_sources", sweep)
+        sums = metrics._sweep(view)
+    _assert_matches_reference(view, sums)
+    return swept_here, forks
 
 
 @needs_fork
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("fault", list(_FAULTS))
 def test_a_failed_child_leaves_its_sources_to_the_parent(fault, cpus):
-    child_sweep, fork, exit_3, fallback = _FAULTS[fault]
-    view = _two_component_view()
-    parent, swept_here = os.getpid(), []
+    """The parent waits (here, not in the sweep) for every child to end
+    before it sweeps, so it keeps exactly each child's whole records, the
+    highest sources of the child's block, and sweeps the rest itself."""
+    child_sweep, fork_fault, exit_3, delivered = _FAULTS[fault]
+    children = []
     real_exit = os._exit
 
-    def sweep(adj, sources, *rest):
-        if os.getpid() != parent:
-            return child_sweep(adj, sources, *rest)
-        swept_here.append(sources)
-        return _SWEEP_SOURCES(adj, sources, *rest)
+    def fork():
+        pid = (fork_fault or _FORK)()
+        if pid:
+            children.append(pid)
+        return pid
 
-    with _split_forced(0, cpus, fork=fork) as forks, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_sweep_sources", sweep)
+    def after_the_children(*args):
+        while children:  # wait for the child to end, and leave it unreaped
+            os.waitid(os.P_PID, children.pop(), os.WEXITED | os.WNOWAIT)
+        return _SWEEP_SOURCES(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
         if exit_3:
             mp.setattr(os, "_exit", lambda status: real_exit(3))
-        sums = metrics._sweep(view)
-    _assert_matches_reference(view, sums)
+        swept_here, forks = _swept_by_the_parent(
+            _two_component_view(), cpus, child_sweep, after_the_children, fork
+        )
     assert len(forks) == 2 * (cpus - 1)  # two components, each split cpus ways
-    assert len(swept_here) == (2 * cpus if fallback else 2)
+    expected = set()
+    for k in (24, 20):
+        first, *rest = _blocks(k, cpus)
+        expected.update((k, source) for source in first)
+        for block in rest:
+            kept = len(block) if delivered is None else delivered
+            expected.update((k, source) for source in block[: len(block) - kept])
+    assert swept_here == expected
+
+
+@needs_fork
+def test_a_stalled_child_is_swept_around_and_killed():
+    """A child that sleeps before its first record never holds the parent
+    up: the parent sweeps the child's whole block and kills it."""
+
+    def stall(*args):
+        time.sleep(30)
+
+    view = _two_component_view()
+    start = time.monotonic()
+    swept_here, _ = _swept_by_the_parent(view, 2, child_sweep=stall)
+    assert time.monotonic() - start < 5
+    assert swept_here == {(k, source) for k in (24, 20) for source in range(k)}
+
+
+@needs_fork
+def test_a_slow_parent_takes_a_child_block_larger_than_a_pipe():
+    """A child's 100 records of a 200-vertex component (160 KiB) do not fit
+    a 64 KiB pipe: the parent drains it between its own sources, so the
+    child delivers its whole block before the parent gets there."""
+    size, edges = _ring_lattice(200, 2)
+    net = OneModeNetwork(f"v{i}" for i in range(size))
+    for a, b in edges:
+        net.add_edge(f"v{a}", f"v{b}", 1)
+
+    def slow(*args):
+        time.sleep(0.02)
+        return _SWEEP_SOURCES(*args)
+
+    swept_here, _ = _swept_by_the_parent(net.frozen(), 2, parent_sweep=slow)
+    assert swept_here == {(size, source) for source in range(100)}
 
 
 @needs_fork

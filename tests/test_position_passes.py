@@ -68,10 +68,12 @@ def test_seat_store_is_not_tracked_by_the_garbage_collector():
     assert [set(h) for h in held] == [set(built.events_of(a)) for a in built.actors]
 
 
-# Vertex ids with the characters the writers quote or escape, labels that
-# differ from the ids (quotes, commas, backslashes, line breaks, blanks),
-# and None for a vertex labelled by its id.
-_ID_STEMS = ["J", "j,", 'q"', "back\\", "é", "a b", "7", "x\ty"]
+# Vertex ids with the characters the writers quote or escape (among them a
+# comma, a quote, a carriage return and a line feed inside the text, which
+# make the CSV writer quote the cell), labels that differ from the ids
+# (quotes, commas, backslashes, line breaks, blanks), and None for a vertex
+# labelled by its id.
+_ID_STEMS = ["J", "j,", 'q"', "back\\", "é", "a b", "7", "x\ty", "c\rr", "n\nl", 'm"i,d']
 _LABELS = [
     None, None, "Journal", 'say "hi"', "a,b", "back\\slash", "two\nlines", "cr\rx", "",
     " pad ", "ü,\"\\", " sep",
