@@ -353,17 +353,28 @@ def _write_one_and_a_part(adj, sources, dep, totals, deltas):
         del deltas[len(adj) // 2 :]
 
 
+def _write_one_short(adj, sources, *rest):
+    """A child's sweep that lets out the records of its block from the top
+    down, then exits 0 before the lowest source's.  The blocks come from the
+    CPU count the sweep was shown, which the forked child inherits."""
+    if any(b.start == sources.start for b in _blocks(len(adj), len(os.sched_getaffinity(0)))):
+        os._exit(0)
+    _SWEEP_SOURCES(adj, sources, *rest)
+
+
 def _raise(adj, sources, *rest):
     raise MemoryError
 
 
 # (child's sweep, os.fork in its place, every child exits 3, whole records
-# each child delivers: None for its whole block)
+# each child delivers: None for its whole block, a negative count for that
+# many short of it)
 _FAULTS = {
     "none": (_SWEEP_SOURCES, None, False, None),
     "fork-refused": (_SWEEP_SOURCES, _refuse_fork, False, 0),
     "exit-3-before-writing": (_exit_3_before_writing, None, False, 0),
     "exit-3-after-writing": (_SWEEP_SOURCES, None, True, None),
+    "one-source-short": (_write_one_short, None, False, -1),
     "one-record-and-a-part": (_write_one_and_a_part, None, False, 1),
     "raises": (_raise, None, False, 0),
 }
@@ -424,6 +435,8 @@ def test_a_failed_child_leaves_its_sources_to_the_parent(fault, cpus):
         expected.update((k, source) for source in first)
         for block in rest:
             kept = len(block) if delivered is None else delivered
+            if kept < 0:
+                kept += len(block)
             expected.update((k, source) for source in block[: len(block) - kept])
     assert swept_here == expected
 
