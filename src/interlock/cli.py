@@ -233,14 +233,11 @@ def _analyze(args: argparse.Namespace) -> None:
         return _run_degree_census(args, text)
     parse = parse_net_two_mode if fmt == "net" else parse_csv_affiliations
     two_mode, diags = parse(text, casefold_actors=args.normalize_names)
-    prefix = f"{args.input}:"
-    warnings = "".join([f"{prefix}{no}: warning: {why}\n" for no, why in diags.warnings])
-    if warnings and _write(sys.stderr, warnings):  # before any output, all or nothing
-        raise _Failure(2, "cannot write stderr")
+    _write_warnings(args.input, diags.warnings)  # before any output, all or nothing
     net = project_events(two_mode)
     # the report's allocations can then reuse the memory of the input, the
     # seat store and the warnings, which lowers the run's peak RSS
-    del text, two_mode, diags, warnings
+    del text, two_mode, diags
 
     tables = ""
     if args.stats_only:
@@ -268,6 +265,20 @@ def _analyze(args: argparse.Namespace) -> None:
             except ValueError as exc:  # a label the format cannot carry
                 raise _Failure(1, f"cannot export {target}: {exc}")
     _emit(json_text, args.out, exports, tables)
+
+
+_WARNING_BATCH = 4096  # parse warnings formatted and written to stderr at a time
+
+
+def _write_warnings(source: str, warnings: list[tuple[int, str]]) -> None:
+    """Write ``SOURCE:LINE: warning: MESSAGE`` lines to stderr in input order,
+    ``_WARNING_BATCH`` lines per write, so that no more than one batch of
+    text exists at once; a failed write raises :class:`_Failure`."""
+    prefix = f"{source}:"
+    for start in range(0, len(warnings), _WARNING_BATCH):
+        batch = warnings[start : start + _WARNING_BATCH]
+        if _write(sys.stderr, "".join([f"{prefix}{no}: warning: {why}\n" for no, why in batch])):
+            raise _Failure(2, "cannot write stderr")
 
 
 def _run_degree_census(args: argparse.Namespace, text: str) -> None:

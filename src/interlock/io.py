@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import unicodedata
-from itertools import compress
+from itertools import chain, compress, repeat
 
 from .model import EMPTY_IDENTIFIER, OneModeNetwork, TwoModeNetwork, normalize_identifier
 
@@ -72,6 +72,27 @@ def _int(token: str, line: int) -> int:
         raise FormatError(line, f"number too long: {len(token)} characters") from None
 
 
+_CHUNK = 1 << 16  # the fewest characters a chunk of CSV lines holds, bar the last
+
+
+def _chunks(text: str):
+    """``text`` in pieces that each end just after the first ``\\n`` at or
+    beyond ``_CHUNK`` characters (the last piece ends where the text ends)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _lines(text: str):
+    """The lines ``io.StringIO(text, newline="")`` yields, read one chunk at
+    a time: no line and no ``\\r\\n`` pair spans a cut just after a ``\\n``.
+    The ``StringIO`` (4 bytes per character) then holds one chunk, not the
+    whole text, and a reader that stops early reads no further."""
+    return chain.from_iterable(map(io.StringIO, _chunks(text), repeat("")))
+
+
 def _csv_header(reader) -> tuple[list[str], list[str]]:
     """The first row of ``reader`` with a non-blank cell, and its cells
     trimmed and lower-cased; no such row is a :class:`FormatError` at line 1."""
@@ -92,7 +113,7 @@ def parse_csv_affiliations(
     """
     diags = ParseDiagnostics()
     net = TwoModeNetwork(casefold_actors=casefold_actors)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(text))
     try:
         row, names = _csv_header(reader)
         if sorted(names) != ["actor", "event"]:
@@ -440,7 +461,7 @@ def write_dot(net: OneModeNetwork) -> str:
 
 def csv_kind(text: str) -> str:
     """Classify a CSV head as ``affiliations`` or ``degrees`` by its header."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(text))
     try:
         row, names = _csv_header(reader)
     except csv.Error as exc:
@@ -455,7 +476,7 @@ def csv_kind(text: str) -> str:
 def parse_degree_list_csv(text: str) -> tuple[list[int], ParseDiagnostics]:
     """Read a per-vertex degree census (any header containing ``degree``)."""
     degrees: list[int] = []
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(text))
     try:
         row, names = _csv_header(reader)
         if "degree" not in names:

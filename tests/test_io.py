@@ -1,3 +1,7 @@
+import io
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +30,8 @@ from interlock import (
     write_edge_list_csv,
     write_net_one_mode,
 )
-from interlock.io import _parse_vertex_defs, _split_sections, csv_kind
+import interlock.io
+from interlock.io import _lines, _parse_vertex_defs, _split_sections, csv_kind
 from interlock.model import normalize_identifier
 
 
@@ -397,12 +402,17 @@ class TestParseDegreeListCsv:
 # few names, a letter that case folding decomposes (U+01F0), fields that
 # need quoting (a comma, a line break, a quote), and cells whose repr in a
 # duplicate warning switches to double quotes (an apostrophe) or escapes a
-# character (a backslash, a zero-width space).
+# character (a backslash, a zero-width space).  A quoted line break, ``\n``
+# or ``\r\n``, makes a field that a chunk cut can fall inside.
 _ACTOR_CELLS = [
     "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "Smith, J", "O\"Neil", "two\nlines",
-    "O'Neil", "back\\slash", "zero\u200bwidth",
+    "O'Neil", "back\\slash", "zero\u200bwidth", "crlf\r\nlines",
 ]
-_EVENT_CELLS = ["J1", " J1", "j1", "J 2", "J\n3", "Lib, Sci"]
+_EVENT_CELLS = ["J1", " J1", "j1", "J 2", "J\n3", "Lib, Sci", "J\r\n4"]
+
+# The CSV readers' chunk size: a few characters, so that cuts fall between
+# and inside every kind of row, or the default.
+_CHUNKS = st.one_of(st.integers(1, 16), st.just(interlock.io._CHUNK))
 # Whitespace-only rows of 1, 2 and 3 cells are skipped; a 2-cell row with
 # one blank cell, like every other odd row, is rejected.
 _BLANK_ROWS = ["", "   ", "\t", '""', ",", " , ", '" ",\t', " ,\t, ", ",,"]
@@ -455,16 +465,17 @@ def _membership_csv(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=_membership_csv(), casefold=st.booleans())
-def test_csv_ingest_matches_per_row_reference(text, casefold):
+@given(text=_membership_csv(), casefold=st.booleans(), chunk=_CHUNKS)
+def test_csv_ingest_matches_per_row_reference(text, casefold, chunk):
     try:
         want = reference_parse_csv_affiliations(text, casefold_actors=casefold)
     except FormatError as exc:
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(FormatError) as err, mock.patch.object(interlock.io, "_CHUNK", chunk):
             parse_csv_affiliations(text, casefold_actors=casefold)
         assert (err.value.line, err.value.reason) == (exc.line, exc.reason)
         return
-    net, diags = parse_csv_affiliations(text, casefold_actors=casefold)
+    with mock.patch.object(interlock.io, "_CHUNK", chunk):
+        net, diags = parse_csv_affiliations(text, casefold_actors=casefold)
     assert net.events == tuple(want.events)
     assert net.actors == tuple(want.actors)
     assert net == want.network(casefold)
@@ -611,7 +622,7 @@ _CSV_HEADERS = [
 ]
 _CSV_ROWS = [
     "a,3", "b,0", "c, 2 ", "d,\u00b2", "e,\u0663", "f,x", "g,-1", "h,1,extra", "7", ",",
-    " , ", "", "\t", '"a\nb",2', '"x,y",1', '"unterminated,1', 'q,"4', '"",""',
+    " , ", "", "\t", '"a\nb",2', '"a\r\nb",2', '"x,y",1', '"unterminated,1', 'q,"4', '"",""',
 ]
 
 
@@ -626,11 +637,44 @@ def _census_csv_text(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(text=_census_csv_text())
-def test_csv_header_readers_match_reference(text):
-    assert _outcome(csv_kind, text) == _outcome(reference_csv_kind, text)
-    got = _outcome(parse_degree_list_csv, text)
+@given(text=_census_csv_text(), chunk=_CHUNKS)
+def test_csv_header_readers_match_reference(text, chunk):
+    with mock.patch.object(interlock.io, "_CHUNK", chunk):
+        kind = _outcome(csv_kind, text)
+        got = _outcome(parse_degree_list_csv, text)
+    assert kind == _outcome(reference_csv_kind, text)
     if got[0] != "FormatError":
         degrees, diags = got
         got = (degrees, diags.records_read)
     assert got == _outcome(reference_parse_degree_list_csv, text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.text(alphabet='a,"\r\n\x0c\x00\u00e9', max_size=40), chunk=_CHUNKS)
+def test_chunked_lines_are_the_whole_text_lines(text, chunk):
+    with mock.patch.object(interlock.io, "_CHUNK", chunk):
+        assert list(_lines(text)) == list(io.StringIO(text, newline=""))
+
+
+_BLANK_TAIL = "\n" * 2_000_000
+
+
+@pytest.mark.parametrize(
+    "read, head",
+    [
+        (parse_csv_affiliations, "actor,event\na,J1\n"),
+        (csv_kind, "actor,event\na,J1\n"),
+        (parse_degree_list_csv, "journal,degree\nj,1\n"),
+    ],
+    ids=["affiliations", "kind", "degrees"],
+)
+def test_csv_readers_memory_does_not_grow_with_the_input(read, head):
+    # 2 MB of blank lines: a whole-text StringIO alone would take 8 MB
+    text = head + _BLANK_TAIL
+    tracemalloc.start()
+    try:
+        read(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -34,7 +34,7 @@ from interlock import (
     report_to_dict,
     report_to_json,
 )
-from interlock.cli import build_parser, run_analyze
+from interlock.cli import _WARNING_BATCH, build_parser, run_analyze
 from interlock.data import TABLE2_DEGREES, TOY_BOARDS, data_path, load_text
 
 
@@ -764,6 +764,46 @@ class TestCli:
         )
         assert run_analyze(["--input", str(distinct), *argv]) == 0
         assert capsys.readouterr() == (out, "")
+
+        # more duplicates than one write of warnings holds: the batches
+        # follow each other in row order, and the report is unchanged
+        dups = 2 * _WARNING_BATCH + 3
+        many = tmp_path / "many.csv"
+        many.write_text("\n".join(rows[:4] + rows[8:9] + ["Cy,J2"] * dups) + "\n", encoding="utf-8")
+        assert run_analyze(["--input", str(many), *argv]) == 0
+        assert capsys.readouterr() == (
+            out,
+            "".join(
+                f"{many}:{line}: warning: duplicate membership collapsed: ['Cy', 'J2']\n"
+                for line in range(6, 6 + dups)
+            ),
+        )
+
+    def test_stderr_failing_after_the_first_batch_of_warnings_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        class _OneWrite(_FullStream):
+            """A stream that takes one write, then fails like a full device."""
+
+            taken = ""
+
+            def write(self, text):
+                if self.taken:
+                    super().write(text)
+                self.taken = text
+
+        boards = tmp_path / "dups.csv"
+        boards.write_text("actor,event\n" + "a,J1\n" * (_WARNING_BATCH + 2), encoding="utf-8")
+        out = tmp_path / "r.json"
+        stderr = _OneWrite()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert run_analyze(["--input", str(boards), "--out", str(out)]) == 2
+        assert stderr.taken == "".join(
+            f"{boards}:{line}: warning: duplicate membership collapsed: ['a', 'J1']\n"
+            for line in range(3, 3 + _WARNING_BATCH)
+        )
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["dups.csv"]
 
     def test_net_event_labels_normalizing_alike_exit_1(self, tmp_path, capsys):
         boards = tmp_path / "boards.net"
