@@ -1,8 +1,8 @@
 """Command-line pipeline: ingest, project, measure, decompose, report.
 
 Exit codes: 0 on success, 1 for analysis/parse failures, 2 for I/O or
-usage problems.  All configuration travels through flags; no environment
-variables are consulted.
+usage problems, 130 when interrupted (Ctrl-C).  All configuration travels
+through flags; no environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _emit(
     Every output is rendered before this is called.  When a write fails,
     to a file or to stdout, the regular files this call already wrote are
     removed again and :class:`_Failure` is raised; after a failed file
-    write nothing goes to stdout.
+    write nothing goes to stdout.  An interrupt removes them too.
     """
     files = [(out, json_text), *exports] if out else list(exports)
     written: list[str] = []
@@ -135,15 +135,15 @@ def _emit(
             target = _path(path)
             try:
                 with open(target, "w", encoding="utf-8") as handle:
+                    if os.path.isfile(target):  # never remove a device such as /dev/null
+                        written.append(target)  # a part written is removed, too
                     handle.write(text)
             except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
                 raise _Failure(2, f"cannot write {path}: {exc}")
-            if os.path.isfile(target):  # never remove a device such as /dev/null
-                written.append(target)
         error = _write(sys.stdout, tables if out else json_text + tables)
         if error:  # a full device or a closed pipe
             raise _Failure(2, f"cannot write stdout: {error}")
-    except _Failure:
+    except (_Failure, KeyboardInterrupt):
         for done in written:
             try:
                 os.unlink(done)
@@ -307,7 +307,14 @@ def _run_degree_census(args: argparse.Namespace, text: str) -> None:
 
 
 def main() -> None:
-    sys.exit(run_analyze())
+    """The ``interlock-analyze`` command: :func:`run_analyze`, with an
+    interrupt ended as exit 130 and one stderr line, not a traceback."""
+    try:
+        status = run_analyze()
+    except KeyboardInterrupt:
+        _write(sys.stderr, "interlock-analyze: interrupted\n")
+        status = 130
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -150,9 +150,11 @@ def parse_csv_affiliations(
                 continue
             records += 1
             held = holdings.get(aid)
-            if held is None:
-                holdings[aid] = {eid: None}
-            elif eid not in held:
+            if held is None:  # a first board: its bare id
+                holdings[aid] = eid
+            elif type(held) is not dict and held != eid:  # a second board
+                holdings[aid] = {held: None, eid: None}
+            elif type(held) is dict and eid not in held:
                 held[eid] = None
             else:
                 duplicates += 1
@@ -334,9 +336,11 @@ def parse_net_two_mode(
         records += 1
         eid = event_ids[event_idx]
         held = holdings.get(aid)
-        if held is None:
-            holdings[aid] = {eid: None}
-        elif eid not in held:
+        if held is None:  # a first board: its bare id
+            holdings[aid] = eid
+        elif type(held) is not dict and held != eid:  # a second board
+            holdings[aid] = {held: None, eid: None}
+        elif type(held) is dict and eid not in held:
             held[eid] = None
         else:
             duplicates += 1

@@ -56,15 +56,18 @@ def pair_density(n: int, m: int, variant: str) -> float:
 
 class TwoModeNetwork:
     """Affiliation structure: events (boards) and actors, each seat stored
-    once, as a key of its actor's dictionary of events.
+    once, under its actor: an actor on one board holds that event's bare id,
+    an actor on two or more a dictionary keyed by its event ids.
 
     Event and actor identifiers live in disjoint namespaces; the same token
     may name both an event and an actor.  Construction is single-writer;
     once built, instances are treated as immutable values and are safe for
     concurrent reads.
 
-    A dictionary of strings and ``None``, unlike a set, is never tracked by
-    the cyclic garbage collector, so collections do not walk one per actor.
+    A string, and a dictionary of strings and ``None``, unlike a set, is
+    never tracked by the cyclic garbage collector, so collections do not
+    walk one container per actor.  A holding becomes a dictionary on the
+    actor's second distinct board and stays one.
 
     Package-private: both readers in :mod:`interlock.io` store each seat by
     normalized id straight into ``_actor_events``, as :meth:`add_affiliation`
@@ -76,9 +79,10 @@ class TwoModeNetwork:
     def __init__(self, *, casefold_actors: bool = False) -> None:
         self.casefold_actors = casefold_actors
         self._event_ids: dict[str, str] = {}  # raw token -> normalized id
-        # event id -> label / actor id -> its event ids, in encounter order
+        # event id -> label / actor id -> its event id, or a dict of its
+        # event ids once it has two; all in encounter order
         self._events: dict[str, str] = {}
-        self._actor_events: dict[str, dict[str, None]] = {}
+        self._actor_events: dict[str, str | dict[str, None]] = {}
 
     def add_event(self, event: str, label: str | None = None) -> str:
         """Register an event; an empty board is fine.  Returns the stored id.
@@ -103,10 +107,13 @@ class TwoModeNetwork:
         aid = normalize_identifier(actor, casefold=self.casefold_actors)
         held = self._actor_events.get(aid)
         if held is None:
-            held = self._actor_events[aid] = {}
-        elif eid in held:
+            self._actor_events[aid] = eid
+        elif eid in _events(held):
             return False
-        held[eid] = None
+        elif type(held) is dict:
+            held[eid] = None
+        else:
+            self._actor_events[aid] = {held: None, eid: None}
         return True
 
     @property
@@ -121,12 +128,14 @@ class TwoModeNetwork:
         """Board of ``event`` as a frozen set of actor ids; O(actors)."""
         if event not in self._events:
             raise ValueError(f"unknown event: {event!r}")
-        return frozenset([aid for aid, held in self._actor_events.items() if event in held])
+        return frozenset(
+            [aid for aid, held in self._actor_events.items() if event in _events(held)]
+        )
 
     def events_of(self, actor: str) -> frozenset[str]:
         """Events on whose boards ``actor`` sits."""
         try:
-            return frozenset(self._actor_events[actor])
+            return frozenset(_events(self._actor_events[actor]))
         except KeyError:
             raise ValueError(f"unknown actor: {actor!r}") from None
 
@@ -136,13 +145,13 @@ class TwoModeNetwork:
         return self._events[event]
 
     def holdings(self) -> Iterable[Set[str]]:
-        """Every actor's events, in actor order, as read-only key views of
-        the stored dictionaries."""
-        return map(dict.keys, self._actor_events.values())
+        """Every actor's events, in actor order, each as :func:`_events`
+        reads its holding."""
+        return map(_events, self._actor_events.values())
 
     def seats(self) -> int:
         """Total board seats (memberships counted once per event/actor pair)."""
-        return sum(map(len, self._actor_events.values()))
+        return sum(map(len, self.holdings()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwoModeNetwork):
@@ -157,6 +166,14 @@ class TwoModeNetwork:
             f"TwoModeNetwork(events={len(self._events)}, "
             f"actors={len(self._actor_events)}, seats={self.seats()})"
         )
+
+
+def _events(held: str | dict[str, None]) -> Set[str]:
+    """An actor's holding as a set-like collection of its event ids, which
+    supports ``in``, ``len``, iteration and ``&``: a one-element frozenset
+    of a bare id, else a read-only key view of the dictionary.  Never a
+    string, in which ``in`` would find ``J1`` inside ``J10``."""
+    return held.keys() if type(held) is dict else frozenset((held,))
 
 
 class GraphView:

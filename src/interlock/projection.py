@@ -35,7 +35,8 @@ def project_events(net: TwoModeNetwork) -> OneModeNetwork:
     Vertices keep event ingestion order, so downstream reports are
     deterministic.
     """
-    return _project(net.events, dict(net._events), net._actor_events.values())
+    holdings = net._actor_events.values()  # an actor on one board adds no pair
+    return _project(net.events, dict(net._events), [h for h in holdings if type(h) is dict])
 
 
 def project_actors(net: TwoModeNetwork) -> OneModeNetwork:

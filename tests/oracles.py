@@ -407,6 +407,44 @@ def _reference_id(raw: str, casefold: bool) -> str:
     return unicodedata.normalize("NFC", token.casefold()) if casefold else token
 
 
+class ReferenceSeats:
+    """Reference for the seat store of ``TwoModeNetwork``: every distinct
+    (event, actor) pair in one set, ids in first-seen order.  Ids must not
+    be empty after trimming."""
+
+    def __init__(self, casefold_actors: bool = False) -> None:
+        self.casefold_actors = casefold_actors
+        self.events: list[str] = []
+        self.actors: list[str] = []
+        self.pairs: set[tuple[str, str]] = set()
+
+    def add_affiliation(self, event: str, actor: str) -> bool:
+        event, actor = _reference_id(event, False), _reference_id(actor, self.casefold_actors)
+        if event not in self.events:
+            self.events.append(event)
+        if actor not in self.actors:
+            self.actors.append(actor)
+        if (event, actor) in self.pairs:
+            return False
+        self.pairs.add((event, actor))
+        return True
+
+    def events_of(self, actor: str) -> set[str]:
+        return {e for e, a in self.pairs if a == actor}
+
+    def members(self, event: str) -> set[str]:
+        return {a for e, a in self.pairs if e == event}
+
+    def project(self, vertices: list[str], shared) -> dict:
+        """Map of vertex pair (in ``vertices`` order) -> the count ``shared``
+        gives it, zero pairs omitted."""
+        out = {}
+        for u, v in combinations(vertices, 2):
+            if count := len(shared(u) & shared(v)):
+                out[u, v] = count
+        return out
+
+
 def reference_parse_csv_affiliations(
     text: str, *, casefold_actors: bool = False
 ) -> ReferenceIngest:

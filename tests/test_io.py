@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -21,6 +22,7 @@ from interlock import (
     BipartitenessError,
     FormatError,
     OneModeNetwork,
+    TwoModeNetwork,
     parse_csv_affiliations,
     parse_degree_list_csv,
     parse_net_one_mode,
@@ -399,7 +401,7 @@ class TestParseDegreeListCsv:
 
 
 # Membership CSV cells: case, space and Unicode-composition variants of a
-# few names, a letter that case folding decomposes (U+01F0), fields that
+# few names, an event id inside another (J1, J10), a letter that case folding decomposes (U+01F0), fields that
 # need quoting (a comma, a line break, a quote), and cells whose repr in a
 # duplicate warning switches to double quotes (an apostrophe) or escapes a
 # character (a backslash, a zero-width space).  A quoted line break, ``\n``
@@ -408,7 +410,7 @@ _ACTOR_CELLS = [
     "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "Smith, J", "O\"Neil", "two\nlines",
     "O'Neil", "back\\slash", "zero\u200bwidth", "crlf\r\nlines",
 ]
-_EVENT_CELLS = ["J1", " J1", "j1", "J 2", "J\n3", "Lib, Sci", "J\r\n4"]
+_EVENT_CELLS = ["J1", " J1", "j1", "J10", "J 2", "J\n3", "Lib, Sci", "J\r\n4"]
 
 # The CSV readers' chunk size: a few characters, so that cuts fall between
 # and inside every kind of row, or the default.
@@ -480,6 +482,10 @@ def test_csv_ingest_matches_per_row_reference(text, casefold, chunk):
     assert net.actors == tuple(want.actors)
     assert net == want.network(casefold)
     assert net.seats() == len(want.seats)
+    boards = Counter(actor for _, actor in want.seats)
+    assert [type(held) is dict for held in net._actor_events.values()] == [
+        boards[actor] > 1 for actor in net.actors
+    ]
     validate_two_mode(net)
     assert diags.warnings == want.warnings
     assert diags.records_read == want.records_read
@@ -498,9 +504,9 @@ def _outcome(call, *args):
 
 
 # Two-mode NET vertex labels: case, space and composition variants, blank
-# labels, and labels that read as vertex numbers (an undefined actor is
+# labels, an event id inside another (J1, J10), and labels that read as vertex numbers (an undefined actor is
 # named by its number).
-_NET_EVENT_LABELS = ["J1", "j1", " J1", "J 2", "7", "   "]
+_NET_EVENT_LABELS = ["J1", "j1", " J1", "J10", "J 2", "7", "   "]
 _NET_ACTOR_LABELS = [
     "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "2", " 3", "03", "9", "", "  ",
 ]
@@ -520,8 +526,10 @@ def _two_mode_net_text(draw):
         if kind in (1, 2):
             pool = _NET_EVENT_LABELS if idx <= n_events else _NET_ACTOR_LABELS
             lines.append(f'{idx} "{draw(st.sampled_from(pool))}"')
-        elif kind:  # a label of its own, in upper case: case folding changes it
-            lines.append(f'{idx} "{"J" if idx <= n_events else "A"}{idx}"')
+        elif kind:  # a label of its own: an event's is inside the next one's
+            # (J10, J100, J1000), an actor's in upper case, which folding changes
+            own = "J1" + "0" * idx if idx <= n_events else f"A{idx}"
+            lines.append(f'{idx} "{own}"')
     lines.append("*Edges")
     events, actors = range(1, n_events + 1), range(n_events + 1, n + 1)
     pool = []
@@ -555,9 +563,14 @@ def _two_mode_outcome(parse, text, casefold):
 @settings(max_examples=400, deadline=None)
 @given(text=_two_mode_net_text(), casefold=st.booleans())
 def test_net_two_mode_matches_reference(text, casefold):
-    assert _two_mode_outcome(parse_net_two_mode, text, casefold) == _two_mode_outcome(
-        reference_parse_net_two_mode, text, casefold
-    )
+    got = _two_mode_outcome(parse_net_two_mode, text, casefold)
+    want = _two_mode_outcome(reference_parse_net_two_mode, text, casefold)
+    assert got == want
+    if isinstance(want[0], TwoModeNetwork):
+        # exactly the actors on two or more boards hold a dictionary
+        assert [type(held) is dict for held in got[0]._actor_events.values()] == [
+            len(want[0].events_of(actor)) > 1 for actor in want[0].actors
+        ]
 
 
 # NET vertex lines: the quoted form with spaces, tabs and non-ASCII spaces

@@ -8,11 +8,13 @@ networks, text, errors and floats as the name-based passes kept in
 """
 
 import gc
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ReferenceSeats,
     reference_closeness_centrality,
     reference_line_multiplicity_distribution,
     reference_project_actors,
@@ -66,6 +68,83 @@ def test_seat_store_is_not_tracked_by_the_garbage_collector():
     assert [len(h) for h in held] == [2, 1]
     assert held[0] & {"J2", "J9"} == {"J2"}
     assert [set(h) for h in held] == [set(built.events_of(a)) for a in built.actors]
+
+
+def test_a_one_board_actor_keeps_its_seat_as_a_bare_id():
+    # 20,000 editors on one board each: with a dictionary per actor the
+    # parse kept ~263 bytes per actor, with a bare event id ~80
+    text = "actor,event\n" + "".join(f"editor {i:05d},J{i % 10}\n" for i in range(20_000))
+    tracemalloc.start()
+    try:
+        net, diags = parse_csv_affiliations(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(net.actors) == 20_000 and net.seats() == 20_000
+    assert kept < 128 * 20_000
+    _assert_untracked_store(net)
+
+
+# Event spellings where one id is a prefix or a substring of another, or
+# normalizes to another; actor spellings in case variants, which
+# casefold_actors merges, and ones that spell an event id.
+_SEAT_EVENTS = ["J1", "J10", "1", "J", " J1 ", "10"]
+_SEAT_ACTORS = ["Ann", "ann", " ANN", "Bo", "J1", "1"]
+_SEAT_PROBES = ["J1", "J10", "1", "J", "10", "0", "J100", ""]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    casefold=st.booleans(),
+    calls=st.lists(
+        st.tuples(st.sampled_from(_SEAT_EVENTS), st.sampled_from(_SEAT_ACTORS)), max_size=24
+    ),
+)
+def test_seat_store_matches_a_set_of_pairs(casefold, calls):
+    net, ref = TwoModeNetwork(casefold_actors=casefold), ReferenceSeats(casefold)
+    for event, actor in calls:
+        assert net.add_affiliation(event, actor) == ref.add_affiliation(event, actor)
+    assert net.events == tuple(ref.events) and net.actors == tuple(ref.actors)
+    assert net.seats() == len(ref.pairs)
+    assert repr(net) == (
+        f"TwoModeNetwork(events={len(ref.events)}, actors={len(ref.actors)}, "
+        f"seats={len(ref.pairs)})"
+    )
+    for actor, held in zip(net.actors, net.holdings()):
+        want = ref.events_of(actor)
+        # exactly the actors on two or more boards hold a dictionary
+        assert type(net._actor_events[actor]) is (dict if len(want) > 1 else str)
+        assert net.events_of(actor) == want
+        assert len(held) == len(want) and sorted(held) == sorted(want)
+        assert [p in held for p in _SEAT_PROBES] == [p in want for p in _SEAT_PROBES]
+        assert held & set(_SEAT_PROBES) == want & set(_SEAT_PROBES)
+    for event in net.events:
+        assert net.members(event) == ref.members(event)
+    if calls:
+        _assert_untracked_store(net)
+
+    # the same seats added actor by actor, each actor's boards in reverse
+    same = TwoModeNetwork(casefold_actors=casefold)
+    for event in ref.events:
+        same.add_event(event)
+    for actor in ref.actors:
+        for event in sorted(ref.events_of(actor), key=ref.events.index, reverse=True):
+            same.add_affiliation(event, actor)
+    assert net == same
+    several = [a for a in ref.actors if len(ref.events_of(a)) > 1]
+    if several:  # one seat fewer
+        fewer = TwoModeNetwork(casefold_actors=casefold)
+        for event in ref.events:
+            fewer.add_event(event)
+        for actor in ref.actors:
+            for event in sorted(ref.events_of(actor), key=ref.events.index)[actor in several :]:
+                fewer.add_affiliation(event, actor)
+        assert net != fewer
+
+    events, actors = project_events(net), project_actors(net)
+    assert events.vertices == tuple(ref.events) and actors.vertices == tuple(ref.actors)
+    assert {(u, v): n for u, v, n in events.edges()} == ref.project(ref.events, ref.members)
+    assert {(u, v): n for u, v, n in actors.edges()} == ref.project(ref.actors, ref.events_of)
 
 
 # Vertex ids with the characters the writers quote or escape (among them a

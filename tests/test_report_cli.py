@@ -602,6 +602,67 @@ class TestCli:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    def _main(self, monkeypatch, argv):
+        """The exit status of the ``interlock-analyze`` entry point."""
+        import interlock.cli as cli
+
+        monkeypatch.setattr(sys, "argv", ["interlock-analyze", *argv])
+        try:
+            cli.main()
+        except SystemExit as exc:
+            return exc.code
+        except KeyboardInterrupt:  # would end the whole test session
+            pytest.fail("the interrupt escaped main")
+        pytest.fail("main returned")
+
+    def test_an_interrupt_while_measuring_exits_130_with_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import interlock.cli as cli
+
+        def interrupted(net, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "build_report", interrupted)
+        argv = ["--input", str(data_path(TOY_BOARDS)), "--out", str(tmp_path / "report.json")]
+        assert self._main(monkeypatch, argv) == 130
+        assert capsys.readouterr() == ("", "interlock-analyze: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(KeyboardInterrupt):  # the library entry lets it through
+            run_analyze(argv)
+
+    def test_an_interrupt_while_writing_removes_what_was_written(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import interlock.cli as cli
+
+        def interrupted_dot(path, *args, **kwargs):
+            """``open``, with a DOT file whose write is interrupted halfway."""
+            handle = open(path, *args, **kwargs)
+            if not path.endswith(".dot"):
+                return handle
+
+            class Interrupted:
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    handle.close()
+
+                def write(self, text):
+                    handle.write(text[: len(text) // 2])
+                    raise KeyboardInterrupt
+
+            return Interrupted()
+
+        monkeypatch.setattr(cli, "open", interrupted_dot, raising=False)
+        argv = ["--input", str(data_path(TOY_BOARDS)), "--out", str(tmp_path / "report.json")]
+        argv += ["--export-csv", str(tmp_path / "edges.csv")]
+        argv += ["--export-dot", str(tmp_path / "graph.dot")]
+        assert self._main(monkeypatch, argv) == 130
+        assert capsys.readouterr() == ("", "interlock-analyze: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_write_never_removes_a_device(self, tmp_path, monkeypatch, capsys):
         removed = []
         # recorded, not done: a regression here must not delete the device
