@@ -72,31 +72,73 @@ def _int(token: str, line: int) -> int:
         raise FormatError(line, f"number too long: {len(token)} characters") from None
 
 
-_CHUNK = 1 << 16  # the fewest characters a chunk of CSV lines holds, bar the last
+_CHUNK = 1 << 14  # the fewest characters a chunk of CSV lines holds, bar the last
 
 
-def _chunks(text: str):
-    """``text`` in pieces that each end just after the first ``\\n`` at or
-    beyond ``_CHUNK`` characters (the last piece ends where the text ends)."""
-    start = 0
+def _chunks(text: str, start: int = 0):
+    """``text[start:]`` in pieces that each end just after the first ``\\n`` at
+    or beyond ``_CHUNK`` characters (the last piece ends where the text ends)."""
     while start < len(text):
         end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
         yield text[start:end]
         start = end
 
 
-def _lines(text: str):
-    """The lines ``io.StringIO(text, newline="")`` yields, read one chunk at
-    a time: no line and no ``\\r\\n`` pair spans a cut just after a ``\\n``.
-    The ``StringIO`` (4 bytes per character) then holds one chunk, not the
-    whole text, and a reader that stops early reads no further."""
-    return chain.from_iterable(map(io.StringIO, _chunks(text), repeat("")))
+def _lines(text: str, start: int = 0):
+    """The lines ``io.StringIO(text[start:], newline="")`` yields, read one
+    chunk at a time: no line and no ``\\r\\n`` pair spans a cut just after a
+    ``\\n``.  The ``StringIO`` (4 bytes per character) then holds one chunk,
+    not the whole text, and a reader that stops early reads no further."""
+    return chain.from_iterable(map(io.StringIO, _chunks(text, start), repeat("")))
 
 
-def _csv_header(reader) -> tuple[list[str], list[str]]:
-    """The first row of ``reader`` with a non-blank cell, and its cells
+class _CsvRows:
+    """The rows and ``line_num`` of ``csv.reader(io.StringIO(text, newline=""))``.
+    A chunk with no ``"``, NUL or lone ``\\r`` and at most ``csv.field_size_limit()``
+    characters is split by ``str.split`` (a blank line reads ``['']``); from
+    the first other chunk on, one ``csv.reader`` reads the rest, from a record.
+    Inside ``with``, a ``csv.Error`` is a :class:`FormatError` at its line."""
+
+    def __init__(self, text: str) -> None:
+        # _end: the last line of the split chunk being read (of all split
+        # chunks once the reader reads); _left(): that chunk's unread lines
+        self._reader, self._end, self._left = None, 0, int
+        pieces = self._pieces(text)
+        self._rows = chain.from_iterable(chain((next(pieces, ()),), pieces))
+
+    def __iter__(self):
+        return self._rows
+
+    def _pieces(self, text: str):
+        start, limit = 0, csv.field_size_limit()
+        for chunk in _chunks(text):
+            flat = chunk.replace("\r\n", "\n") if "\r" in chunk else chunk
+            if '"' in flat or "\0" in flat or "\r" in flat or len(chunk) > limit:
+                self._reader = csv.reader(_lines(text, start))
+                yield self._reader
+                return
+            lines = flat.removesuffix("\n").split("\n")
+            left = iter(lines)
+            self._end, self._left = self._end + len(lines), left.__length_hint__
+            yield map(str.split, left, repeat(","))
+            start += len(chunk)
+
+    @property
+    def line_num(self) -> int:
+        return self._end + (-self._left() if self._reader is None else self._reader.line_num)
+
+    def __enter__(self):  # a reader of the whole text is used as it is, line_num and all
+        return self if self._end or self._reader is None else self._reader
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, csv.Error):
+            raise FormatError(self.line_num, str(exc)) from None
+
+
+def _csv_header(rows) -> tuple[list[str], list[str]]:
+    """The first row of ``rows`` with a non-blank cell, and its cells
     trimmed and lower-cased; no such row is a :class:`FormatError` at line 1."""
-    for row in reader:
+    for row in rows:
         if "".join(row).strip():
             return row, [cell.strip().lower() for cell in row]
     raise FormatError(1, "missing header row")
@@ -113,12 +155,11 @@ def parse_csv_affiliations(
     """
     diags = ParseDiagnostics()
     net = TwoModeNetwork(casefold_actors=casefold_actors)
-    reader = csv.reader(_lines(text))
-    try:
-        row, names = _csv_header(reader)
+    with _CsvRows(text) as rows:
+        row, names = _csv_header(rows)
         if sorted(names) != ["actor", "event"]:
             raise FormatError(
-                reader.line_num, f"expected header with columns actor,event; got {row!r}"
+                rows.line_num, f"expected header with columns actor,event; got {row!r}"
             )
         event_col, actor_col = names.index("event"), names.index("actor")
         # One loop frame per row: the event memo is probed, the actor id is
@@ -127,10 +168,10 @@ def parse_csv_affiliations(
         event_ids, add_event, holdings = net._event_ids, net.add_event, net._actor_events
         normalize, warn = unicodedata.normalize, diags.warnings.append
         records = duplicates = 0
-        for row in reader:
+        for row in rows:
             if len(row) != 2:
                 if "".join(row).strip():
-                    raise FormatError(reader.line_num, f"expected 2 fields, got {len(row)}")
+                    raise FormatError(rows.line_num, f"expected 2 fields, got {len(row)}")
                 continue
             event = row[event_col]
             eid = event_ids.get(event)
@@ -139,14 +180,18 @@ def parse_csv_affiliations(
                     eid = add_event(event)
                 except ValueError:  # empty after trimming
                     eid = ""
-            aid = normalize("NFC", row[actor_col].strip())
-            if casefold_actors:
-                aid = normalize("NFC", aid.casefold())
+            aid = row[actor_col].strip()
+            if not aid.isascii():  # NFC leaves ASCII as it is, and casefold() is lower()
+                aid = normalize("NFC", aid)
+                if casefold_actors:
+                    aid = normalize("NFC", aid.casefold())
+            elif casefold_actors:
+                aid = aid.lower()
             # A 2-cell row is blank exactly when both identifiers are empty,
             # so a row is tested for blankness only once one of them is.
             if not (eid and aid):
                 if "".join(row).strip():
-                    raise FormatError(reader.line_num, EMPTY_IDENTIFIER)
+                    raise FormatError(rows.line_num, EMPTY_IDENTIFIER)
                 continue
             records += 1
             held = holdings.get(aid)
@@ -160,9 +205,7 @@ def parse_csv_affiliations(
                 duplicates += 1
                 # repr(row), without the list repr's recursion guard
                 a, b = row
-                warn((reader.line_num, f"duplicate membership collapsed: [{a!r}, {b!r}]"))
-    except csv.Error as exc:
-        raise FormatError(reader.line_num, str(exc)) from None
+                warn((rows.line_num, f"duplicate membership collapsed: [{a!r}, {b!r}]"))
     diags.records_read, diags.duplicates_collapsed = records, duplicates
     return net, diags
 
@@ -465,37 +508,31 @@ def write_dot(net: OneModeNetwork) -> str:
 
 def csv_kind(text: str) -> str:
     """Classify a CSV head as ``affiliations`` or ``degrees`` by its header."""
-    reader = csv.reader(_lines(text))
-    try:
-        row, names = _csv_header(reader)
-    except csv.Error as exc:
-        raise FormatError(reader.line_num, str(exc)) from None
+    with _CsvRows(text) as rows:
+        row, names = _csv_header(rows)
     if sorted(names) == ["actor", "event"]:
         return "affiliations"
     if "degree" in names:
         return "degrees"
-    raise FormatError(reader.line_num, f"unrecognized header: {row!r}")
+    raise FormatError(rows.line_num, f"unrecognized header: {row!r}")
 
 
 def parse_degree_list_csv(text: str) -> tuple[list[int], ParseDiagnostics]:
     """Read a per-vertex degree census (any header containing ``degree``)."""
     degrees: list[int] = []
-    reader = csv.reader(_lines(text))
-    try:
-        row, names = _csv_header(reader)
+    with _CsvRows(text) as rows:
+        row, names = _csv_header(rows)
         if "degree" not in names:
-            raise FormatError(reader.line_num, f"no degree column in header: {row!r}")
+            raise FormatError(rows.line_num, f"no degree column in header: {row!r}")
         col, width = names.index("degree"), len(names)
-        for row in reader:
+        for row in rows:
             if not "".join(row).strip():
                 continue
-            line = reader.line_num
+            line = rows.line_num
             if len(row) != width:
                 raise FormatError(line, f"expected {width} fields, got {len(row)}")
             cell = row[col].strip()
             if not cell.isdecimal():
                 raise FormatError(line, f"degree must be a non-negative integer, got {cell!r}")
             degrees.append(_int(cell, line))
-    except csv.Error as exc:
-        raise FormatError(reader.line_num, str(exc)) from None
     return degrees, ParseDiagnostics(records_read=len(degrees))

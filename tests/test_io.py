@@ -1,4 +1,6 @@
+import csv
 import io
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -33,7 +35,7 @@ from interlock import (
     write_net_one_mode,
 )
 import interlock.io
-from interlock.io import _lines, _parse_vertex_defs, _split_sections, csv_kind
+from interlock.io import _chunks, _CsvRows, _lines, _parse_vertex_defs, _split_sections, csv_kind
 from interlock.model import normalize_identifier
 
 
@@ -76,16 +78,21 @@ class TestParseCsvAffiliations:
         assert err.value.line == 2
 
     def test_oversized_field_carries_line_number(self):
+        # quote-free text: a chunk longer than the field size limit is left
+        # to the csv module, whose message the error carries
         big = "J" * 200_000
         cases = (
             (parse_csv_affiliations, f"actor,event\na,J1\nb,{big}\n", 3),
+            (parse_csv_affiliations, f"actor,event\n{'A' * 140_000},J1\n", 2),
             (parse_degree_list_csv, f"id,degree\na,1\nb,{big}\n", 3),
             (csv_kind, f"actor,{big}\n", 1),
         )
         for parse, text, line in cases:
             with pytest.raises(FormatError) as err:
                 parse(text)
-            assert err.value.line == line
+            assert (err.value.line, err.value.reason) == (
+                line, "field larger than field limit (131072)"
+            )
 
     def test_quoted_fields_with_commas(self):
         text = 'actor,event\n"Smith, Ann","Library Collections, Acquisitions"\n'
@@ -434,7 +441,15 @@ def _csv_cell(text: str, quote: bool) -> str:
 def _membership_csv(draw):
     """Membership CSV text: either column order, blank rows anywhere,
     repeated seats, multi-line quoted fields, and now and then a missing
-    header or a row with an empty identifier or the wrong field count."""
+    header or a row with an empty identifier or the wrong field count.  Half
+    the texts are quote-free, with no quoted cell and no ``""`` row, so that
+    the CSV readers split every chunk of them with ``str.split``."""
+    actor_cells, event_cells, blank_rows = _ACTOR_CELLS, _EVENT_CELLS, _BLANK_ROWS
+    quote_free = draw(st.booleans())
+    if quote_free:
+        actor_cells = [cell for cell in _ACTOR_CELLS if _csv_cell(cell, False) == cell]
+        event_cells = [cell for cell in _EVENT_CELLS if _csv_cell(cell, False) == cell]
+        blank_rows = [row for row in _BLANK_ROWS if '"' not in row]
     actor_first = draw(st.booleans())
     header = draw(st.sampled_from([("actor", "event"), (" Actor", "EVENT "), ("ACTOR", "Event")]))
     rows = [list(header)]
@@ -442,7 +457,7 @@ def _membership_csv(draw):
         rows.pop()  # no header: the first data row is rejected as one
     pool = draw(
         st.lists(
-            st.tuples(st.sampled_from(_ACTOR_CELLS), st.sampled_from(_EVENT_CELLS)),
+            st.tuples(st.sampled_from(actor_cells), st.sampled_from(event_cells)),
             min_size=1,
             max_size=8,
         )
@@ -450,7 +465,7 @@ def _membership_csv(draw):
     for _ in range(draw(st.integers(0, 20))):
         kind = draw(st.integers(0, 39))
         if kind < 6:
-            rows.append(draw(st.sampled_from(_BLANK_ROWS)))
+            rows.append(draw(st.sampled_from(blank_rows)))
         elif kind == 6:
             rows.append(draw(st.sampled_from(_ODD_ROWS)))
         else:
@@ -461,7 +476,8 @@ def _membership_csv(draw):
             lines.append(row)
         else:
             row = row if actor_first or len(row) != 2 else row[::-1]
-            lines.append(",".join(_csv_cell(cell, draw(st.booleans())) for cell in row))
+            cells = (_csv_cell(cell, not quote_free and draw(st.booleans())) for cell in row)
+            lines.append(",".join(cells))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
@@ -669,21 +685,97 @@ def test_chunked_lines_are_the_whole_text_lines(text, chunk):
         assert list(_lines(text)) == list(io.StringIO(text, newline=""))
 
 
+def _csv_module_rows(text):
+    """The (row, line) pairs ``csv.reader`` reads from the whole text, then
+    the reason and line of the ``csv.Error`` that ended it, if any.  A blank
+    line reads ``[""]``, as the split path reads it, not ``[]``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    out = []
+    try:
+        out += ((row or [""], reader.line_num) for row in reader)
+    except csv.Error as exc:
+        out.append((str(exc), reader.line_num))
+    return out
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    text=st.text(alphabet=',"\r\n\x00\x0c\x85 \u00e9\u0130', max_size=60),
+    chunk=_CHUNKS,
+    limit=st.one_of(st.integers(1, 12), st.just(csv.field_size_limit())),
+)
+def test_csv_row_source_matches_the_csv_module(text, chunk, limit):
+    old_limit = csv.field_size_limit(limit)
+    got = []
+    try:
+        with mock.patch.object(interlock.io, "_CHUNK", chunk):
+            want = _csv_module_rows(text)
+            with mock.patch.object(interlock.io, "_lines", wraps=interlock.io._lines) as lines:
+                source = _CsvRows(text)
+                try:
+                    with source as rows:
+                        got += ((row or [""], rows.line_num) for row in rows)
+                except FormatError as exc:
+                    got.append((exc.reason, exc.line))
+            # the split path reads each chunk up to the first with a quote, a
+            # NUL, a \r outside a \r\n pair or more characters than the limit
+            start = 0
+            for piece in _chunks(text):
+                if any(c in piece.replace("\r\n", "") for c in '"\0\r') or len(piece) > limit:
+                    break
+                start += len(piece)
+    finally:
+        csv.field_size_limit(old_limit)
+    assert got == want
+    if start == len(text):
+        assert lines.call_count == 0 and source._reader is None
+    else:  # the csv module reads the rest, and all of it through the reader itself
+        assert lines.call_args_list == [mock.call(text, start)]
+        assert (rows is source._reader) == (start == 0)
+
+
+# Every ASCII character, with weight on the ones str.strip trims
+_ASCII = st.one_of(st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f"), st.characters(max_codepoint=127))
+
+
+@settings(max_examples=600, deadline=None)
+@given(raw=st.text(alphabet=_ASCII, max_size=12), casefold=st.booleans())
+def test_ascii_actor_ids_follow_the_identifier_rule(raw, casefold):
+    # the cell is quoted only where the csv format needs it
+    cell = raw if not any(c in raw for c in ',"\r\n\0') else '"' + raw.replace('"', '""') + '"'
+    try:
+        want = (normalize_identifier(raw, casefold=casefold),)
+    except ValueError as exc:  # nothing left after trimming
+        want = str(exc)
+    if "\0" in raw and sys.version_info < (3, 11):  # the csv module rejects a NUL
+        want = "line contains NUL"
+    try:
+        got = parse_csv_affiliations(f"actor,event\n{cell},J1\n", casefold_actors=casefold)
+    except FormatError as exc:
+        assert exc.reason == want
+    else:
+        assert got[0].actors == want
+
+
 _BLANK_TAIL = "\n" * 2_000_000
 
 
 @pytest.mark.parametrize(
-    "read, head",
+    "read, head, tail",
     [
-        (parse_csv_affiliations, "actor,event\na,J1\n"),
-        (csv_kind, "actor,event\na,J1\n"),
-        (parse_degree_list_csv, "journal,degree\nj,1\n"),
+        (parse_csv_affiliations, "actor,event\na,J1\n", _BLANK_TAIL),
+        (csv_kind, "actor,event\na,J1\n", _BLANK_TAIL),
+        (parse_degree_list_csv, "journal,degree\nj,1\n", _BLANK_TAIL),
+        (parse_csv_affiliations, "actor,event\r\na,J1\r\n", "\r\n" * 1_000_000),
+        (csv_kind, "actor,event\r\na,J1\r\n", "\r\n" * 1_000_000),
+        (parse_degree_list_csv, "journal,degree\r\nj,1\r\n", "\r\n" * 1_000_000),
     ],
-    ids=["affiliations", "kind", "degrees"],
+    ids=["affiliations", "kind", "degrees", "affiliations-crlf", "kind-crlf", "degrees-crlf"],
 )
-def test_csv_readers_memory_does_not_grow_with_the_input(read, head):
-    # 2 MB of blank lines: a whole-text StringIO alone would take 8 MB
-    text = head + _BLANK_TAIL
+def test_csv_readers_memory_does_not_grow_with_the_input(read, head, tail):
+    # 2 MB of blank lines: a whole-text StringIO alone would take 8 MB, and
+    # one str.split of the whole text a list of 8 or 16 MB
+    text = head + tail
     tracemalloc.start()
     try:
         read(text)

@@ -686,6 +686,14 @@ class TestCli:
             assert run_analyze(["--input", str(bad)]) == 1
             assert capsys.readouterr().err.startswith(f"{bad}:2: ")
 
+    def test_oversized_quote_free_cell_exits_1_with_the_csv_modules_message(
+        self, tmp_path, capsys
+    ):
+        bad = tmp_path / "big.csv"
+        bad.write_text(f"actor,event\n{'A' * 140_000},J1\n", encoding="utf-8")
+        assert run_analyze(["--input", str(bad)]) == 1
+        assert capsys.readouterr().err == f"{bad}:2: field larger than field limit (131072)\n"
+
     def test_stats_only_on_degree_census(self, tmp_path, capsys):
         status = run_analyze(
             ["--input", str(data_path(TABLE2_DEGREES)), "--stats-only"]
