@@ -7,7 +7,6 @@ through flags; no environment variables are consulted.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import io
 import os
@@ -31,6 +30,8 @@ from .report import TABLE_KINDS, build_report, render_table, report_to_json, sta
 
 
 def _slice_threshold(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -45,6 +46,8 @@ def _slice_threshold(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: a documented argv never needs it (_read_argv)
+
     parser = argparse.ArgumentParser(
         prog="interlock-analyze",
         description=(
@@ -99,6 +102,61 @@ def build_parser() -> argparse.ArgumentParser:
         help="case-fold actor names when merging identities",
     )
     return parser
+
+
+class _Options:
+    """The options :func:`_read_argv` read, as attributes: the same
+    ``vars()`` as the ``argparse.Namespace`` of the same argv."""
+
+    def __init__(self, values: dict) -> None:
+        self.__dict__.update(values)
+
+
+def _read_argv(argv: Sequence[str]) -> _Options | None:
+    """``build_parser().parse_args(argv)``'s options, read without argparse
+    when ``argv`` is spelled as the README documents; else None, and argparse
+    reads it, as the one source of help and error text.
+
+    Documented: ``--input`` given; each option spelled in full and given once
+    (``--slice`` any number of times); a switch with no ``=``; a value after
+    the option or its ``=`` that is not empty, does not start with ``-``, is
+    one of the option's choices and, for ``--slice``, is 1 to 18 decimal
+    digits, not 0 (which ``int`` reads as argparse's type does, far below
+    its digit limit).
+    """
+    values = {
+        "input": None, "format": None, "slice": None, "closeness_variant": "paper",
+        "density_variant": DENSITY_NO_LOOPS, "out": None, "export_net": None,
+        "export_csv": None, "export_dot": None,
+        "tables": False, "stats_only": False, "normalize_names": False,
+    }
+    choices = {
+        "format": ("csv", "net"),
+        "closeness_variant": CLOSENESS_VARIANTS,
+        "density_variant": DENSITY_VARIANTS,
+    }
+    words, seen = iter(argv), set()
+    for word in words:
+        option, eq, value = word.partition("=")
+        name = option[2:].replace("-", "_")
+        if option[:2] != "--" or "_" in option or name not in values or name in seen:
+            return None
+        if values[name] is False:  # a switch
+            if eq:
+                return None
+            value = True
+        else:
+            value = value if eq else next(words, "")
+            if value[:1] in ("", "-") or (name in choices and value not in choices[name]):
+                return None
+            if name == "slice":
+                if not (value.isdecimal() and len(value) < 19 and int(value)):
+                    return None
+                value = (values["slice"] or []) + [int(value)]
+        values[name] = value
+        if name != "slice":
+            seen.add(name)
+    return _Options(values) if values["input"] is not None else None
 
 
 def _path(name: str) -> str:
@@ -191,13 +249,15 @@ def _write(stream, text: str) -> OSError | None:
 def run_analyze(argv: list[str] | None = None) -> int:
     """Run the pipeline; returns the process exit status.  Every failure ends
     here as its status and one stderr line, which is lost if it cannot be written."""
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     held, stdout = io.StringIO(), sys.stdout
     try:
-        sys.stdout = held  # the help argparse prints goes out through _write
-        try:
-            args = build_parser().parse_args(argv)
-        finally:
-            sys.stdout = stdout
+        if args is None:  # help, a usage error, or a spelling left to argparse
+            sys.stdout = held  # the help argparse prints goes out through _write
+            try:
+                args = build_parser().parse_args(argv)
+            finally:
+                sys.stdout = stdout
     except (SystemExit, OSError) as exc:  # argparse printed help or usage (3.10: or failed to)
         error = _write(sys.stdout, held.getvalue())  # the help, as _emit writes the report
         status = 2 if error or isinstance(exc, OSError) else int(exc.code or 0)
@@ -218,7 +278,8 @@ def _analyze(args: argparse.Namespace) -> None:
     """Read, parse, measure and write; a failure raises."""
     path = _path(args.input)
     try:
-        with open(path, encoding="utf-8") as handle:
+        # newline="": a quoted cell keeps its \r, as the csv module requires
+        with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read().removeprefix("\ufeff")  # a BOM, as Windows tools write
     except FileNotFoundError:
         raise _Failure(2, f"no such input: {args.input}")

@@ -9,12 +9,20 @@ every parse rejection carries the offending line number.
 
 from __future__ import annotations
 
-import csv
 import io
 import unicodedata
 from itertools import chain, compress, repeat
 
 from .model import EMPTY_IDENTIFIER, OneModeNetwork, TwoModeNetwork, normalize_identifier
+
+# The csv module re-exports reader, writer, field_size_limit and Error from
+# the C module _csv, whose default format is the csv module's ``excel``
+# dialect.  Taken from there, they come without the csv module, which
+# imports ``re`` (for its Sniffer) and ``enum``.
+try:
+    import _csv as csv
+except ImportError:
+    import csv
 
 
 class FormatError(ValueError):

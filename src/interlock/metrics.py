@@ -11,6 +11,7 @@ so results are deterministic.
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from math import fsum, sqrt
@@ -216,9 +217,10 @@ def _split_cpus(k: int, work: int) -> list[int]:
     """
     if work < _SPLIT_WORK or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return []
-    import threading
-
-    if threading.active_count() > 1:
+    # with threading never imported no thread was started through it, and
+    # importing it to ask would only load it for an answer of one thread
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
         return []
     return sorted(os.sched_getaffinity(0))[: min(k, 1 + work // max(_SPLIT_WORK, 1))]
 
@@ -279,10 +281,10 @@ def _sweep_round(
                 _sweep_sources(adj, range(source, source + 1), dep, totals)
             inbox[b] = None
     finally:
-        import signal
+        from _signal import SIGKILL  # the signal module would import enum
 
         for pid, pipe in live.items():
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, SIGKILL)
             os.close(pipe)
             os.waitpid(pid, 0)
 

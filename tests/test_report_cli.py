@@ -34,7 +34,7 @@ from interlock import (
     report_to_dict,
     report_to_json,
 )
-from interlock.cli import _WARNING_BATCH, build_parser, run_analyze
+from interlock.cli import _WARNING_BATCH, _read_argv, build_parser, run_analyze
 from interlock.data import TABLE2_DEGREES, TOY_BOARDS, data_path, load_text
 
 
@@ -694,6 +694,16 @@ class TestCli:
         assert run_analyze(["--input", str(bad)]) == 1
         assert capsys.readouterr().err == f"{bad}:2: field larger than field limit (131072)\n"
 
+    def test_a_quoted_carriage_return_is_read_as_the_library_reads_it(self, tmp_path, capsys):
+        text = 'actor,event\r\na,"J\r1"\r\na,J2\r\nb,"J\r1"\r\n'
+        boards = tmp_path / "boards.csv"
+        boards.write_bytes(text.encode())
+        assert run_analyze(["--input", str(boards), "--slice", "1"]) == 0
+        two_mode, _ = parse_csv_affiliations(text)
+        report = build_report(project_events(two_mode), slice_thresholds=(1,))
+        assert capsys.readouterr() == (report_to_json(report), "")
+        assert sorted(vm.vertex for vm in report.vertices) == ["J\r1", "J2"]
+
     def test_stats_only_on_degree_census(self, tmp_path, capsys):
         status = run_analyze(
             ["--input", str(data_path(TABLE2_DEGREES)), "--stats-only"]
@@ -1040,6 +1050,87 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"interlock-analyze: error: argument --slice: {reason}"
         assert len(err.encode()) < 1024
+
+
+# Argv words: each documented option with values it takes and values it
+# does not, in both spellings, the switches, and words argparse reads its
+# own way (help, abbreviations, unknown options, a switch given a value).
+_OPTION_VALUES = {
+    "--input": ["boards.csv", "a b", "x=y", "", "-", "-x"],
+    "--format": ["csv", "net", "NET", "-"],
+    "--slice": [
+        "1", "2", "3", "0001", "9" * 18, "9" * 19, "0", "-", "-1", "+2", " 2", "2 ", "1_0",
+        "\u0663", "\uff12", "\u00b2", "9" * 5000, "x",
+    ],
+    "--closeness-variant": ["paper", "component", "Paper"],
+    "--density-variant": ["loops", "no-loops", "no_loops"],
+    "--out": ["r.json", "", "-", "--tables"],
+    "--export-net": ["j.net"],
+    "--export-csv": ["e.csv"],
+    "--export-dot": ["j.dot"],
+}
+_ODD_WORDS = [
+    "-h", "--help", "--inp", "--slic", "--stats", "--frobnicate", "--stats_only", "--tables=1",
+    "--tables=", "--out=", "--", "-", "boards.csv", "--input",
+]
+_ARGV_ITEMS = st.one_of(
+    st.sampled_from(list(_OPTION_VALUES)).flatmap(
+        lambda option: st.tuples(
+            st.just(option), st.sampled_from(_OPTION_VALUES[option]), st.booleans()
+        ).map(lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+    ),
+    st.sampled_from(["--tables", "--stats-only", "--normalize-names"]).map(lambda w: [w]),
+    st.sampled_from(_ODD_WORDS).map(lambda w: [w]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    head=st.sampled_from([["--input", "boards.csv"], ["--input=in.net"], []]),
+    items=st.lists(_ARGV_ITEMS, max_size=6),
+)
+def test_argv_fast_path_reads_what_argparse_reads_or_defers(head, items):
+    """The fast path returns argparse's options for the argv, or None; and
+    None wherever argparse prints help or an error and exits."""
+    argv = [*head, *(word for item in items for word in item)]
+    fast = _read_argv(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+    assert fast is None or vars(fast) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--input", "boards.csv"],
+        ["--input=boards.csv", "--slice", "2", "--slice=3", "--tables", "--out", "r.json"],
+        [
+            "--normalize-names", "--format", "csv", "--closeness-variant=component",
+            "--density-variant", "loops", "--export-net", "j.net", "--export-csv=e.csv",
+            "--export-dot", "j.dot", "--stats-only", "--input", "in",
+        ],
+    ],
+)
+def test_argv_fast_path_reads_a_documented_argv(argv):
+    assert vars(_read_argv(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        ["-h"], ["--help"], ["--inp", "x"], ["--stats"], ["--stats_only"], ["--frobnicate"],
+        ["--tables=1"], ["--tables="], ["--out", "a", "--out", "b"], ["--tables", "--tables"],
+        ["--out", "-"], ["--out=-x"], ["--out="], ["--format", "NET"], ["--slice", "0"],
+        ["--slice", "+2"], ["--slice", "9" * 19], ["--slice", "9" * 5000], ["--slice"],
+        ["--"], ["x"],
+    ],
+)
+@pytest.mark.parametrize("head", [["--input", "boards.csv"], []], ids=["input", "no-input"])
+def test_argv_fast_path_leaves_the_rest_to_argparse(head, tail):
+    assert _read_argv([*head, *tail]) is None
 
 
 # Inputs shaped like the two formats, in which any token may be swapped for

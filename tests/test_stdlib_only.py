@@ -23,7 +23,8 @@ from interlock import (
     SliceDecomposition,
     VertexMetrics,
 )
-from interlock.metrics import PathSums
+from interlock.data import TABLE2_DEGREES, data_path
+from interlock.metrics import _SPLIT_WORK, PathSums
 from interlock.model import GraphView
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,26 +42,81 @@ def test_package_imports_without_site_packages(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# Modules a run never uses: record boilerplate, type hints, Path calls and
-# the json package (``_json`` supplies the one string encoder).
-_NOT_ON_THE_CLI_IMPORT_PATH = ("dataclasses", "typing", "pathlib", "inspect", "ast", "json")
+# Modules a run never uses: record boilerplate, type hints, Path calls, the
+# json package (``_json`` supplies the one string encoder), the csv module
+# with the ``re`` and ``enum`` it imports (``_csv`` supplies the reader and
+# writer), argparse with its ``gettext`` (a documented argv is read without
+# them), and ``threading`` and ``signal`` (the forked sweep asks
+# ``sys.modules`` for threading and takes SIGKILL from ``_signal``).
+_NOT_LOADED_BY_A_RUN = (
+    "dataclasses", "typing", "pathlib", "inspect", "ast", "json",
+    "re", "argparse", "gettext", "csv", "enum", "threading", "signal",
+)
+# ``python -S -c`` with this script and an argv runs the CLI on that argv, as
+# ``python -S -m interlock.cli`` does, and then lists every loaded module
+_RUN = (
+    "import sys\n"
+    "from interlock.cli import run_analyze\n"
+    "status = run_analyze()\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "sys.exit(status)\n"
+)
 
 
-def test_cli_cold_start_imports_only_what_a_run_uses(tmp_path):
+# Membership CSV with quoted cells and an accented name, read by the csv
+# reader, not by str.split
+_BOARDS = 'actor,event\n"Ann\u00e9e, B",J1\nann\u00e9e,J2\n"Ann\u00e9e, B",J2\nc,J2\nc,J3\n'
+# A ring lattice, one editor per journal on it and the next three: one
+# component of k = 150 journals and m = 3k lines, whose sweep forks
+_RING = 150
+
+
+def _modules_loaded(folder, script, argv=()):
     done = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, interlock.cli; print(*sorted(sys.modules))"],
-        cwd=tmp_path,
+        [sys.executable, "-S", "-c", script, *argv],
+        cwd=folder,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split())
+    return set(done.stderr.splitlines()[-1].split())
+
+
+def test_cli_cold_start_imports_only_what_a_run_uses(tmp_path):
+    script = "import sys, interlock.cli; print(*sorted(sys.modules), file=sys.stderr)"
+    loaded = _modules_loaded(tmp_path, script)
     assert "interlock.cli" in loaded
-    assert loaded.isdisjoint(_NOT_ON_THE_CLI_IMPORT_PATH), sorted(
-        loaded.intersection(_NOT_ON_THE_CLI_IMPORT_PATH)
-    )
+    assert loaded.isdisjoint(_NOT_LOADED_BY_A_RUN), sorted(loaded & set(_NOT_LOADED_BY_A_RUN))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "--input", "boards.csv", "--normalize-names", "--slice", "1", "--slice=2",
+            "--tables", "--out", "r.json", "--export-net", "j.net", "--export-csv", "e.csv",
+            "--export-dot", "j.dot",
+        ],
+        ["--input", str(data_path(TABLE2_DEGREES)), "--stats-only"],
+        pytest.param(
+            ["--input", "ring.csv", "--stats-only"],
+            marks=pytest.mark.skipif(
+                not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                reason="the sweep forks only with two CPUs in the affinity mask",
+            ),
+        ),
+    ],
+    ids=["membership-csv-every-output", "table2-census", "forked-sweep"],
+)
+def test_whole_runs_import_only_what_they_use(tmp_path, argv):
+    assert _RING * 3 * _RING >= _SPLIT_WORK
+    ring = (f"e{i},J{(i + d) % _RING}" for i in range(_RING) for d in range(4))
+    (tmp_path / "ring.csv").write_text("actor,event\n" + "\n".join(ring) + "\n")
+    (tmp_path / "boards.csv").write_text(_BOARDS, encoding="utf-8")
+    loaded = _modules_loaded(tmp_path, _RUN, argv)
+    assert loaded.isdisjoint(_NOT_LOADED_BY_A_RUN), sorted(loaded & set(_NOT_LOADED_BY_A_RUN))
 
 
 _AGGREGATES = dict(
