@@ -10,7 +10,6 @@ from .cohesion import (
     ComponentSummary,
     LineMultiplicityDistribution,
     SliceDecomposition,
-    component_summary,
     line_multiplicity_distribution,
     m_slice,
     slice_decomposition,
@@ -84,7 +83,6 @@ __all__ = [
     "build_report",
     "closeness_centrality",
     "closeness_centralization",
-    "component_summary",
     "degree_census_aggregates",
     "degree_centralization",
     "degree_distribution",

@@ -45,7 +45,9 @@ def _slice_threshold(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``argparse.ArgumentParser`` of ``interlock-analyze``, the one
+    source of its help and usage errors."""
     import argparse  # here, not at the top: a documented argv never needs it (_read_argv)
 
     parser = argparse.ArgumentParser(
@@ -105,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Options:
-    """The options :func:`_read_argv` read, as attributes: the same
-    ``vars()`` as the ``argparse.Namespace`` of the same argv."""
+    """The options of one argv, as attributes: what :func:`_read_argv` read,
+    or the ``vars()`` of the ``argparse.Namespace`` of an argv it left to
+    argparse."""
 
     def __init__(self, values: dict) -> None:
         self.__dict__.update(values)
@@ -255,7 +258,7 @@ def run_analyze(argv: list[str] | None = None) -> int:
         if args is None:  # help, a usage error, or a spelling left to argparse
             sys.stdout = held  # the help argparse prints goes out through _write
             try:
-                args = build_parser().parse_args(argv)
+                args = _Options(vars(build_parser().parse_args(argv)))
             finally:
                 sys.stdout = stdout
     except (SystemExit, OSError) as exc:  # argparse printed help or usage (3.10: or failed to)
@@ -274,7 +277,7 @@ def run_analyze(argv: list[str] | None = None) -> int:
     return status
 
 
-def _analyze(args: argparse.Namespace) -> None:
+def _analyze(args: _Options) -> None:
     """Read, parse, measure and write; a failure raises."""
     path = _path(args.input)
     try:
@@ -342,7 +345,7 @@ def _write_warnings(source: str, warnings: list[tuple[int, str]]) -> None:
             raise _Failure(2, "cannot write stderr")
 
 
-def _run_degree_census(args: argparse.Namespace, text: str) -> None:
+def _run_degree_census(args: _Options, text: str) -> None:
     """Handle a degree-census CSV, which supports only --stats-only."""
     if not args.stats_only:
         raise _Failure(2, "degree-census input requires --stats-only")

@@ -4,7 +4,6 @@ weak components with per-component summaries."""
 from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
-from collections.abc import Iterable
 from itertools import chain
 
 from .model import DENSITY_NO_LOOPS, OneModeNetwork, pair_density
@@ -80,34 +79,6 @@ def weak_components(net: OneModeNetwork) -> list[list[str]]:
         members.sort(key=net.index)
         components.append(members)
     return components
-
-
-def component_summary(
-    net: OneModeNetwork,
-    component: Iterable[str],
-    density_variant: str = DENSITY_NO_LOOPS,
-) -> ComponentSummary:
-    """Size, induced line count, and induced density of a vertex subset.
-
-    Lines are counted over the members' own rows of the integer view, where
-    each induced line appears twice, so summarizing every component of a
-    slice reads each line a constant number of times.
-    """
-    inside: set[int] = set()
-    for v in component:
-        if not net.has_vertex(v):
-            raise ValueError(f"vertex outside network: {v!r}")
-        inside.add(net.index(v))
-    order = sorted(inside)
-    view = net.frozen()
-    adjacency = view.adjacency
-    edge_count = sum(j in inside for i in order for j in adjacency[i]) // 2
-    return ComponentSummary(
-        members=[view.vertices[i] for i in order],
-        size=len(order),
-        edge_count=edge_count,
-        density=pair_density(len(order), edge_count, density_variant),
-    )
 
 
 def slice_decomposition(

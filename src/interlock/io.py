@@ -485,7 +485,7 @@ def write_edge_list_csv(net: OneModeNetwork) -> str:
     own: a field's quoting does not depend on the fields beside it, and an
     id is never empty (the one field the module quotes only when alone).
     """
-    vertices, rows = net.frozen().vertices, net._rows
+    vertices, rows = net.vertices, net._rows
     cells = _Rows()
     csv.writer(cells, lineterminator="\n").writerows(zip(compress(vertices, rows)))
     cell = dict(zip(compress(range(len(rows)), rows), (c[:-1] for c in cells)))

@@ -20,7 +20,6 @@ from operator import add
 from .model import (
     DENSITY_LOOPS,
     DENSITY_NO_LOOPS,
-    GraphView,
     OneModeNetwork,
     check_variant,
     pair_density,
@@ -119,8 +118,9 @@ class PathSums(namedtuple("PathSums", "dependency reach distance_sum components"
     __slots__ = ()
 
 
-def _sweep(view: GraphView) -> PathSums:
-    """Brandes (2001), one weak component at a time.
+def _sweep(net: OneModeNetwork) -> PathSums:
+    """Brandes (2001) over ``net``'s ascending position rows, one weak
+    component at a time.
 
     Each component is collected by a breadth-first pass from its lowest
     position, relabelled ``0..k-1`` in position order (so neighbour lists
@@ -129,8 +129,8 @@ def _sweep(view: GraphView) -> PathSums:
     vertex costs O(1).  See :func:`_sweep_component` for the order of the
     float additions.  Geodesic counts are exact integers.
     """
-    n = len(view.vertices)
-    adjacency = view.adjacency
+    rows = net._sorted_rows()
+    n = len(rows)
     dependency = [0.0] * n
     reach = [0] * n
     distance_sum = [0] * n
@@ -142,7 +142,7 @@ def _sweep(view: GraphView) -> PathSums:
         local[start] = 0
         members = [start]
         for u in members:  # the list grows while it is read: a FIFO queue
-            for v in adjacency[u]:
+            for v in rows[u]:
                 if local[v] < 0:
                     local[v] = 0
                     members.append(v)
@@ -153,7 +153,7 @@ def _sweep(view: GraphView) -> PathSums:
         members.sort()
         for i, p in enumerate(members):
             local[p] = i
-        adj = [[local[v] for v in adjacency[p]] for p in members]
+        adj = [[local[v] for v in rows[p]] for p in members]
         dep, totals = _sweep_component(adj, k * sum(map(len, adj)) // 2)
         for i, p in enumerate(members):
             dependency[p] = dep[i]
@@ -391,12 +391,11 @@ def _sweep_sources(
 
 
 def path_sums(net: OneModeNetwork) -> PathSums:
-    """Geodesic totals of ``net``, swept once and cached on its current
-    integer view."""
-    view = net.frozen()
-    if view.path_sums is None:
-        view.path_sums = _sweep(view)
-    return view.path_sums
+    """Geodesic totals of ``net``, swept once and kept on the network until
+    it next changes."""
+    if net._path_sums is None:
+        net._path_sums = _sweep(net)
+    return net._path_sums
 
 
 def closeness_centrality(

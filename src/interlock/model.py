@@ -176,41 +176,14 @@ def _events(held: str | dict[str, None]) -> Set[str]:
     return held.keys() if type(held) is dict else frozenset((held,))
 
 
-class GraphView:
-    """Integer snapshot of a :class:`OneModeNetwork`'s line structure.
-
-    Vertex ``i`` is the network's ``i``-th vertex and ``adjacency[i]`` lists
-    its neighbours' indices in ascending order.  A view is never modified
-    after construction; the network builds a fresh one after it changes,
-    so :func:`interlock.metrics.path_sums` caches its sweep on the view.
-    Views compare by identity.
-    """
-
-    __slots__ = ("vertices", "adjacency", "path_sums")
-
-    def __init__(
-        self,
-        vertices: tuple[str, ...],
-        adjacency: tuple[list[int], ...],
-        path_sums: object = None,
-    ) -> None:
-        self.vertices = vertices
-        self.adjacency = adjacency
-        self.path_sums = path_sums
-
-    def __repr__(self) -> str:
-        return (
-            f"GraphView(vertices={self.vertices!r}, adjacency={self.adjacency!r}, "
-            f"path_sums={self.path_sums!r})"
-        )
-
-
 class OneModeNetwork:
     """Undirected valued graph; every line value is a positive integer.
 
     Vertex order is ingestion order and drives every deterministic output
     (reports, exports, component listings).  Self-loops and duplicate pairs
-    are rejected.  Instances are treated as immutable after construction.
+    are rejected.  ``add_vertex`` and ``add_edge`` change the network in
+    place and drop what was derived from it: the vertex tuple and the
+    shortest-path sums :func:`interlock.metrics.path_sums` keeps here.
     """
 
     def __init__(
@@ -220,9 +193,12 @@ class OneModeNetwork:
     ) -> None:
         self._index: dict[str, int] = {}  # id -> position, in vertex order
         self._labels: dict[str, str] = {}
-        # row i maps each neighbour's position to the line's value
+        # row i maps each neighbour's position to the line's value, keys
+        # ascending, except after add_edge until the next _sorted_rows()
         self._rows: list[dict[int, int]] = []
-        self._view: GraphView | None = None
+        self._ascending = True
+        self._vertices: tuple[str, ...] | None = None
+        self._path_sums = None  # metrics.PathSums of the current lines, once swept
         for v in vertices:
             self.add_vertex(v)
         if labels:
@@ -235,7 +211,7 @@ class OneModeNetwork:
             raise ValueError(f"duplicate vertex: {vid!r}")
         self._index[vid] = len(self._rows)
         self._rows.append({})
-        self._view = None
+        self._vertices = self._path_sums = None
         if label is not None:
             self._labels[vid] = label
         return vid
@@ -251,7 +227,8 @@ class OneModeNetwork:
             raise ValueError(f"duplicate edge {u!r} - {v!r}")
         self._rows[i][j] = value
         self._rows[j][i] = value
-        self._view = None
+        self._ascending = False
+        self._path_sums = None
 
     def set_label(self, vertex: str, label: str) -> None:
         if vertex not in self._index:
@@ -268,7 +245,10 @@ class OneModeNetwork:
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        return tuple(self._index)
+        """Vertex ids in vertex order; one tuple, kept until ``add_vertex``."""
+        if self._vertices is None:
+            self._vertices = tuple(self._index)
+        return self._vertices
 
     def has_vertex(self, vertex: str) -> bool:
         return vertex in self._index
@@ -291,23 +271,23 @@ class OneModeNetwork:
         """Degree of every vertex, in vertex order."""
         return list(map(len, self._rows))
 
-    def frozen(self) -> GraphView:
-        """The integer view of the current graph, built on first use and
-        kept until the next ``add_vertex`` or ``add_edge``."""
-        if self._view is None:
-            self._view = GraphView(tuple(self._index), tuple(map(sorted, self._rows)))
-        return self._view
+    def _sorted_rows(self) -> list[dict[int, int]]:
+        """The position rows, each one's keys ascending: rows ``add_edge``
+        left out of order are sorted first, in place."""
+        if not self._ascending:
+            self._rows[:] = [dict(sorted(row.items())) for row in self._rows]
+            self._ascending = True
+        return self._rows
 
     def neighbors(self, vertex: str) -> tuple[str, ...]:
         """Adjacent vertices in vertex order (the deterministic traversal order)."""
-        view = self.frozen()
-        order = view.vertices
-        return tuple([order[j] for j in view.adjacency[self.index(vertex)]])
+        order = self.vertices
+        return tuple([order[j] for j in self._sorted_rows()[self.index(vertex)]])
 
     @classmethod
     def _from_rows(cls, index: dict[str, int], labels: dict[str, str], rows) -> OneModeNetwork:
         """A network owning stores valid by construction: normalized ids, and
-        rows symmetric, positive and loop-free."""
+        rows symmetric, positive, loop-free and with their keys ascending."""
         net = cls()
         net._index, net._labels, net._rows = index, labels, rows
         return net
@@ -316,12 +296,13 @@ class OneModeNetwork:
         """Every vertex and label, with only the lines valued ``m`` or more.
 
         Each position row is filtered by value: the ids are already
-        normalized and the rows valid, and a filter keeps them so.
+        normalized and the rows valid and ascending, and a filter keeps
+        them so.
         """
         return OneModeNetwork._from_rows(
             dict(self._index),
             dict(self._labels),
-            [{j: value for j, value in row.items() if value >= m} for row in self._rows],
+            [{j: value for j, value in row.items() if value >= m} for row in self._sorted_rows()],
         )
 
     def value(self, u: str, v: str) -> int:
@@ -331,12 +312,12 @@ class OneModeNetwork:
 
     def _lines(self) -> list[tuple[int, int, int]]:
         """(i, j, value) once per line, by position, i < j, in edges() order."""
-        rows, adjacency = self._rows, self.frozen().adjacency
-        return [(i, j, rows[i][j]) for i, nbrs in enumerate(adjacency) for j in nbrs if j > i]
+        rows = self._sorted_rows()
+        return [(i, j, value) for i, row in enumerate(rows) for j, value in row.items() if j > i]
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
         """Yield (u, v, value) once per line, u before v in vertex order."""
-        order = self.frozen().vertices
+        order = self.vertices
         for i, j, value in self._lines():
             yield order[i], order[j], value
 

@@ -14,6 +14,7 @@ import random
 import re
 import unicodedata
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import fsum
@@ -22,12 +23,12 @@ from interlock import (
     DENSITY_LOOPS,
     DENSITY_NO_LOOPS,
     BipartitenessError,
+    ComponentSummary,
     FormatError,
     LineMultiplicityDistribution,
     OneModeNetwork,
     SliceDecomposition,
     TwoModeNetwork,
-    component_summary,
     degree_centralization,
     degree_stats,
     m_slice,
@@ -111,12 +112,18 @@ def brute_betweenness(net: OneModeNetwork) -> dict:
     return {v: 2.0 * raw[v] / ((n - 1) * (n - 2)) for v in net.vertices}
 
 
-def reference_sweep(view) -> tuple[list[float], list[int], list[int]]:
-    """(dependency, reach, distance_sum) of a ``GraphView`` by the plain
-    per-source Brandes pass with n-long buffers: every float addition in
-    the order :func:`interlock.metrics._sweep` must keep, bit for bit."""
-    n = len(view.vertices)
-    adjacency = view.adjacency
+def sorted_adjacency(net: OneModeNetwork) -> list[list[int]]:
+    """Each position's neighbour positions, sorted here with ``sorted``,
+    whatever order the network's rows hold them in."""
+    return [sorted(row) for row in net._rows]
+
+
+def reference_sweep(adjacency) -> tuple[list[float], list[int], list[int]]:
+    """(dependency, reach, distance_sum) of a network given as ascending
+    neighbour positions per position (:func:`sorted_adjacency`), by the
+    plain per-source Brandes pass with n-long buffers: every float addition
+    in the order :func:`interlock.metrics._sweep` must keep, bit for bit."""
+    n = len(adjacency)
     dependency = [0.0] * n
     reach = [0] * n
     distance_sum = [0] * n
@@ -282,10 +289,9 @@ def validate_one_mode(net: OneModeNetwork) -> None:
     handshake identity (degree sum equals twice the line count)."""
     order = net.vertices
     seen_pairs = set()
-    for i, nbrs in enumerate(net.frozen().adjacency):
-        u = order[i]
-        for j in nbrs:
-            v = order[j]
+    for i, u in enumerate(order):
+        for v in net.neighbors(u):
+            j = net.index(v)
             if i == j:
                 raise ValueError(f"self-loop on {u!r}")
             value = net.value(u, v)
@@ -843,6 +849,33 @@ def reference_line_multiplicity_distribution(net: OneModeNetwork) -> LineMultipl
     max_value = max(freq)
     rows = [(v, freq.get(v, 0), freq.get(v, 0) / total) for v in range(1, max_value + 1)]
     return LineMultiplicityDistribution(rows=rows, max_value=max_value)
+
+
+def component_summary(
+    net: OneModeNetwork,
+    component: Iterable[str],
+    density_variant: str = DENSITY_NO_LOOPS,
+) -> ComponentSummary:
+    """Size, induced line count, and induced density of a vertex subset.
+
+    Lines are counted over the members' own position rows, where each
+    induced line appears twice, so summarizing every component of a
+    slice reads each line a constant number of times.
+    """
+    inside: set[int] = set()
+    for v in component:
+        if not net.has_vertex(v):
+            raise ValueError(f"vertex outside network: {v!r}")
+        inside.add(net.index(v))
+    order = sorted(inside)
+    vertices, rows = net.vertices, net._rows
+    edge_count = sum(j in inside for i in order for j in rows[i]) // 2
+    return ComponentSummary(
+        members=[vertices[i] for i in order],
+        size=len(order),
+        edge_count=edge_count,
+        density=pair_density(len(order), edge_count, density_variant),
+    )
 
 
 def reference_slice_decomposition(

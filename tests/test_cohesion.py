@@ -3,11 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_components, random_one_mode, validate_one_mode
+from oracles import brute_components, component_summary, random_one_mode, validate_one_mode
 
 from interlock import (
     OneModeNetwork,
-    component_summary,
     line_multiplicity_distribution,
     m_slice,
     slice_decomposition,

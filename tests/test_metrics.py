@@ -16,6 +16,7 @@ from oracles import (
     brute_distances,
     random_one_mode,
     reference_sweep,
+    sorted_adjacency,
 )
 
 from interlock import (
@@ -167,9 +168,9 @@ class TestGeodesicDistances:
         calls = []
         sweep = metrics._sweep
 
-        def counted(view):
-            calls.append(view)
-            return sweep(view)
+        def counted(net):
+            calls.append(net)
+            return sweep(net)
 
         monkeypatch.setattr(metrics, "_sweep", counted)
         net = random_one_mode(random.Random(5), min_n=6, max_n=6)
@@ -234,8 +235,8 @@ def scattered_nets(draw, max_n: int = 60) -> OneModeNetwork:
     return net
 
 
-def _assert_matches_reference(view, sums):
-    dependency, reach, distance_sum = reference_sweep(view)
+def _assert_matches_reference(adjacency, sums):
+    dependency, reach, distance_sum = reference_sweep(adjacency)
     assert [d.hex() for d in sums.dependency] == [d.hex() for d in dependency]
     assert sums.reach == reach
     assert sums.distance_sum == distance_sum
@@ -244,9 +245,9 @@ def _assert_matches_reference(view, sums):
 @settings(max_examples=300, deadline=None)
 @given(scattered_nets())
 def test_sweep_matches_the_per_source_reference_bit_for_bit(net):
-    view = net.frozen()
-    sums = metrics._sweep(view)
-    _assert_matches_reference(view, sums)
+    adjacency = sorted_adjacency(net)  # before the sweep sorts the rows
+    sums = metrics._sweep(net)
+    _assert_matches_reference(adjacency, sums)
     assert sums.components == [[net.index(v) for v in c] for c in weak_components(net)]
 
 
@@ -304,24 +305,24 @@ def test_split_sweep_matches_the_per_source_reference_bit_for_bit(net, threshold
     """Components at or above the threshold are swept by 2-4 processes, in
     one round or several (a small ``_ROUND_BYTES`` gives blocks of one or a
     few sources); those below it by this process alone."""
-    view = net.frozen()
+    adjacency = sorted_adjacency(net)
     with _split_forced(threshold, cpus, round_bytes=round_bytes) as forks:
-        sums = metrics._sweep(view)
-    _assert_matches_reference(view, sums)
+        sums = metrics._sweep(net)
+    _assert_matches_reference(adjacency, sums)
     works = [
-        len(c) * sum(len(view.adjacency[p]) for p in c) // 2 for c in sums.components if len(c) > 1
+        len(c) * sum(len(adjacency[p]) for p in c) // 2 for c in sums.components if len(c) > 1
     ]
     assert bool(forks) == any(work >= threshold for work in works)
 
 
-def _two_component_view():
+def _two_component_net():
     """A ring lattice of 24 vertices and a 4 x 5 grid, interleaved."""
     blocks = [_ring_lattice(24, 3), _grid(4, 5)]
     net = OneModeNetwork(f"v{i}" for i in range(44))
     for offset, (size, edges) in zip((0, 24), blocks):
         for a, b in edges:
             net.add_edge(f"v{(offset + a) * 7 % 44}", f"v{(offset + b) * 7 % 44}", 1)
-    return net.frozen()
+    return net
 
 
 def _refuse_fork():
@@ -381,11 +382,12 @@ _FAULTS = {
 
 
 def _swept_by_the_parent(
-    view, cpus, child_sweep=_SWEEP_SOURCES, parent_sweep=_SWEEP_SOURCES, fork=None
+    net, cpus, child_sweep=_SWEEP_SOURCES, parent_sweep=_SWEEP_SOURCES, fork=None
 ):
-    """Sweep ``view`` split ``cpus`` ways and check the sums; the (component
+    """Sweep ``net`` split ``cpus`` ways and check the sums; the (component
     size, source) pairs the parent swept itself, and the fork calls."""
     parent, swept_here = os.getpid(), set()
+    adjacency = sorted_adjacency(net)
 
     def sweep(adj, sources, *rest):
         if os.getpid() != parent:
@@ -395,8 +397,8 @@ def _swept_by_the_parent(
 
     with _split_forced(0, cpus, fork=fork) as forks, pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_sweep_sources", sweep)
-        sums = metrics._sweep(view)
-    _assert_matches_reference(view, sums)
+        sums = metrics._sweep(net)
+    _assert_matches_reference(adjacency, sums)
     return swept_here, forks
 
 
@@ -426,7 +428,7 @@ def test_a_failed_child_leaves_its_sources_to_the_parent(fault, cpus):
         if exit_3:
             mp.setattr(os, "_exit", lambda status: real_exit(3))
         swept_here, forks = _swept_by_the_parent(
-            _two_component_view(), cpus, child_sweep, after_the_children, fork
+            _two_component_net(), cpus, child_sweep, after_the_children, fork
         )
     assert len(forks) == 2 * (cpus - 1)  # two components, each split cpus ways
     expected = set()
@@ -449,9 +451,8 @@ def test_a_stalled_child_is_swept_around_and_killed():
     def stall(*args):
         time.sleep(30)
 
-    view = _two_component_view()
     start = time.monotonic()
-    swept_here, _ = _swept_by_the_parent(view, 2, child_sweep=stall)
+    swept_here, _ = _swept_by_the_parent(_two_component_net(), 2, child_sweep=stall)
     assert time.monotonic() - start < 5
     assert swept_here == {(k, source) for k in (24, 20) for source in range(k)}
 
@@ -470,13 +471,13 @@ def test_a_slow_parent_takes_a_child_block_larger_than_a_pipe():
         time.sleep(0.02)
         return _SWEEP_SOURCES(*args)
 
-    swept_here, _ = _swept_by_the_parent(net.frozen(), 2, parent_sweep=slow)
+    swept_here, _ = _swept_by_the_parent(net, 2, parent_sweep=slow)
     assert swept_here == {(size, source) for source in range(100)}
 
 
 @needs_fork
 def test_a_parent_that_raises_kills_and_reaps_its_children():
-    view = _two_component_view()
+    net = _two_component_net()
     calls = []
 
     def sweep(*args):
@@ -486,7 +487,7 @@ def test_a_parent_that_raises_kills_and_reaps_its_children():
     with pytest.raises(KeyboardInterrupt), _split_forced(0, 3) as forks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_sweep_sources", sweep)
-            metrics._sweep(view)
+            metrics._sweep(net)
     assert len(forks) == 2 and calls == [os.getpid()]
 
 
@@ -494,26 +495,28 @@ def test_a_parent_that_raises_kills_and_reaps_its_children():
 def test_the_split_keeps_the_cpu_affinity():
     """On the CPUs this process really has: pinned for the sweep, restored
     after it (one CPU sweeps in this process alone)."""
-    view = _two_component_view()
+    net = _two_component_net()
+    adjacency = sorted_adjacency(net)
     with _split_forced(0):
-        sums = metrics._sweep(view)
-    _assert_matches_reference(view, sums)
+        sums = metrics._sweep(net)
+    _assert_matches_reference(adjacency, sums)
 
 
 @needs_fork
 def test_a_live_thread_keeps_the_sweep_in_one_process():
-    view = _two_component_view()
+    net = _two_component_net()
+    adjacency = sorted_adjacency(net)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
         with _split_forced(0, 4, fork=lambda: pytest.fail("forked with a live thread")) as forks:
-            sums = metrics._sweep(view)
+            sums = metrics._sweep(net)
     finally:
         stop.set()
         thread.join()
     assert forks == []
-    _assert_matches_reference(view, sums)
+    _assert_matches_reference(adjacency, sums)
 
 
 class TestCloseness:

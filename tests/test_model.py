@@ -14,6 +14,7 @@ from interlock import (
     pair_density,
     project_actors,
 )
+from interlock.metrics import path_sums
 
 
 class TestAddAffiliation:
@@ -151,19 +152,25 @@ class TestOneModeNetwork:
         net.add_edge("C", "B", 4)
         assert list(net.edges()) == [("C", "B", 4), ("A", "B", 1)]
 
-    def test_integer_view_is_sorted_and_cached_until_changed(self):
+    def test_path_sums_are_cached_until_changed(self):
         net = OneModeNetwork(["C", "A", "B"])
-        net.add_edge("B", "C", 1)
         net.add_edge("B", "A", 1)
-        view = net.frozen()
-        assert view.vertices == ("C", "A", "B")
-        assert view.adjacency == ([2], [2], [0, 1])
-        assert net.frozen() is view
+        net.add_edge("B", "C", 1)  # B's row is out of order until read
+        sums = path_sums(net)
+        assert path_sums(net) is sums
+        assert [list(row) for row in net._rows] == [[2], [2], [0, 1]]
         assert net.neighbors("B") == ("C", "A")
         net.add_vertex("D")
-        assert net.frozen() is not view
+        grown = path_sums(net)
+        assert grown is not sums and path_sums(net) is grown
         net.add_edge("D", "B", 2)
+        changed = path_sums(net)
+        assert changed is not grown and path_sums(net) is changed
         assert net.neighbors("B") == ("C", "A", "D")
+        rebuilt = OneModeNetwork(["C", "A", "B", "D"])
+        for u, v, value in [("A", "B", 1), ("B", "D", 2), ("C", "B", 1)]:
+            rebuilt.add_edge(u, v, value)
+        assert changed == path_sums(rebuilt)
         with pytest.raises(ValueError):
             net.neighbors("Z")
 
@@ -321,11 +328,10 @@ def _assert_matches(net: OneModeNetwork, ref: PlainNetwork, rnd) -> None:
         for w in order[i + 1 :]
         if frozenset((u, w)) in ref.lines
     ]
-    view = net.frozen()
-    assert view.vertices == tuple(order)
-    assert view.adjacency == tuple(
+    # the reads above sorted the rows: each one's keys ascend
+    assert [list(row) for row in net._rows] == [
         [order.index(w) for w in ref.neighbors(v)] for v in order
-    )
+    ]
     validate_one_mode(net)
     lines = list(ref.lines)
     rnd.shuffle(lines)

@@ -2,15 +2,21 @@
 site-packages on the path (``-S``), so a third-party import outside the
 tests (networkx, hypothesis, ...) fails here.  A cold start of the CLI
 loads no stdlib module a run does not use, and the result records keep
-their value API (keyword construction, ``==``, ``repr``, immutability)."""
+their value API (keyword construction, ``==``, ``repr``, immutability).
+Every annotation in the package resolves, though no run imports typing."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
+import interlock
 from interlock import (
     DENSITY_NO_LOOPS,
     AnalysisReport,
@@ -25,7 +31,6 @@ from interlock import (
 )
 from interlock.data import TABLE2_DEGREES, data_path
 from interlock.metrics import _SPLIT_WORK, PathSums
-from interlock.model import GraphView
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -190,9 +195,20 @@ def test_parse_diagnostics_is_a_mutable_keyword_built_value():
     assert ParseDiagnostics().warnings is not ParseDiagnostics().warnings
 
 
-def test_graph_view_compares_by_identity_and_caches_its_sums():
-    view = GraphView(vertices=("a", "b"), adjacency=([1], [0]))
-    assert view != GraphView(vertices=("a", "b"), adjacency=([1], [0]))
-    assert repr(view) == "GraphView(vertices=('a', 'b'), adjacency=([1], [0]), path_sums=None)"
-    view.path_sums = "swept"
-    assert view.path_sums == "swept"
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` resolves the annotations of every function
+    and method the package defines, although a module may import a module
+    it names in one only inside the function that uses it."""
+    checked = []
+    for info in pkgutil.walk_packages(interlock.__path__, "interlock."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for member in vars(obj).values() if isinstance(obj, type) else [obj]:
+                fn = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                if inspect.isfunction(fn):
+                    typing.get_type_hints(fn)
+                    checked.append(f"{info.name}.{fn.__qualname__}")
+    assert "interlock.cli._analyze" in checked
+    assert "interlock.model.OneModeNetwork.neighbors" in checked
