@@ -59,11 +59,15 @@ def weak_components(net: OneModeNetwork) -> list[list[str]]:
     """Maximal mutually reachable vertex sets, singletons included.
 
     Components are listed by their first member's position; members are
-    listed in vertex order.
+    listed in vertex order.  A vertex with an empty position row is a
+    component of its own, listed without a traversal.
     """
     seen: set[str] = set()
     components: list[list[str]] = []
-    for start in net.vertices:
+    for start, row in zip(net.vertices, net._rows):
+        if not row:
+            components.append([start])
+            continue
         if start in seen:
             continue
         queue = deque([start])
@@ -90,11 +94,16 @@ def slice_decomposition(
 
     Components are maximal, so each slice line lies inside exactly one of
     them, and a component's line count is half its members' degree total.
+    A singleton has no line; its density is computed once per slice.
     """
     sliced = m_slice(net, m)
     degree = dict(zip(sliced.vertices, sliced.degrees())).__getitem__
+    alone = pair_density(1, 0, density_variant)
     components = []
     for members in weak_components(sliced):
+        if len(members) == 1:
+            components.append(ComponentSummary(members, 1, 0, alone))
+            continue
         size, edge_count = len(members), sum(map(degree, members)) // 2
         density = pair_density(size, edge_count, density_variant)
         components.append(ComponentSummary(members, size, edge_count, density))

@@ -481,14 +481,23 @@ def write_edge_list_csv(net: OneModeNetwork) -> str:
     """Edge list with header ``source,target,value``, one row per line,
     ordered by (source position, target position).
 
-    The csv module renders each id that has a line once, as a cell of its
-    own: a field's quoting does not depend on the fields beside it, and an
-    id is never empty (the one field the module quotes only when alone).
+    The csv module renders the ids that have a line as one row.  A field's
+    quoting does not depend on the fields beside it, and an id is never
+    empty (the one field the module quotes only when alone).  So when that
+    row is the ids' comma join, every id is its own cell; otherwise the
+    module renders each of them once, as a row of its own.
     """
     vertices, rows = net.vertices, net._rows
+    linked = list(compress(vertices, rows))
     cells = _Rows()
-    csv.writer(cells, lineterminator="\n").writerows(zip(compress(vertices, rows)))
-    cell = dict(zip(compress(range(len(rows)), rows), (c[:-1] for c in cells)))
+    writer = csv.writer(cells, lineterminator="\n")
+    writer.writerow(linked)
+    if cells[0] == ",".join(linked) + "\n":
+        cell = vertices
+    else:
+        cells.clear()
+        writer.writerows(zip(linked))
+        cell = dict(zip(compress(range(len(rows)), rows), (c[:-1] for c in cells)))
     out = ["source,target,value"]
     out += [f"{cell[i]},{cell[j]},{value}" for i, j, value in net._lines()]
     return "\n".join(out) + "\n"

@@ -295,14 +295,17 @@ class OneModeNetwork:
     def _slice(self, m: int) -> OneModeNetwork:
         """Every vertex and label, with only the lines valued ``m`` or more.
 
-        Each position row is filtered by value: the ids are already
-        normalized and the rows valid and ascending, and a filter keeps
-        them so.
+        Each position row is filtered by value, an empty one replaced by a
+        new empty row: the ids are already normalized and the rows valid
+        and ascending, and a filter keeps them so.
         """
         return OneModeNetwork._from_rows(
             dict(self._index),
             dict(self._labels),
-            [{j: value for j, value in row.items() if value >= m} for row in self._sorted_rows()],
+            [
+                {j: value for j, value in row.items() if value >= m} if row else {}
+                for row in self._sorted_rows()
+            ],
         )
 
     def value(self, u: str, v: str) -> int:

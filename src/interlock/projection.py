@@ -16,9 +16,9 @@ from .model import OneModeNetwork, TwoModeNetwork
 
 def _project(vertices, labels: dict[str, str], groups) -> OneModeNetwork:
     """Count each group's vertex pairs by position and write the counts
-    straight into position rows, then sort each row by neighbour position
-    once: the vertices are normalized ids already, and a count is a
-    positive value of a pair of distinct positions."""
+    straight into position rows, then sort each row of two or more
+    neighbours by position once: the vertices are normalized ids already,
+    and a count is a positive value of a pair of distinct positions."""
     index = {v: i for i, v in enumerate(vertices)}
     pos = index.__getitem__
     counts: Counter[tuple[int, int]] = Counter(
@@ -27,7 +27,9 @@ def _project(vertices, labels: dict[str, str], groups) -> OneModeNetwork:
     rows: list[dict[int, int]] = [{} for _ in vertices]
     for (i, j), value in counts.items():
         rows[i][j] = rows[j][i] = value
-    return OneModeNetwork._from_rows(index, labels, [dict(sorted(row.items())) for row in rows])
+    return OneModeNetwork._from_rows(
+        index, labels, [dict(sorted(row.items())) if len(row) > 1 else row for row in rows]
+    )
 
 
 def project_events(net: TwoModeNetwork) -> OneModeNetwork:

@@ -98,58 +98,75 @@ except ImportError:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # The JSON documents' layout, the one place their keys are spelled (the
-# aggregates block's keys are in ``aggregates_to_dict``).  The templates
-# are indented as json.dumps(indent=2) indents: a vertex sits two levels
-# deep, a slice two and a slice component four.  Ints are formatted by
-# ``str.format`` (their ``repr``); floats, strings and arrays arrive encoded.
-_DOCUMENT = """{{
-  "schema": {},
+# aggregates block's keys are in ``aggregates_to_dict``).  Each layout is a
+# function returning an f-string, indented as json.dumps(indent=2) indents:
+# a vertex sits two levels deep, a slice two and a slice component four.
+# Ints are formatted as f-strings format them (their ``repr``); floats,
+# strings and arrays arrive encoded.  The replacement fields hold names
+# only, within Python 3.10's f-string grammar.
+def _document_json(
+    schema, closeness, density, aggregates, vertices, degrees, max_value, lines, slices
+):
+    return f"""{{
+  "schema": {schema},
   "options": {{
-    "closenessVariant": {},
-    "componentDensityVariant": {}
+    "closenessVariant": {closeness},
+    "componentDensityVariant": {density}
   }},
-  "aggregates": {},
-  "vertices": {},
+  "aggregates": {aggregates},
+  "vertices": {vertices},
   "degreeDistribution": {{
-    "rows": {}
+    "rows": {degrees}
   }},
   "lineMultiplicity": {{
-    "maxValue": {},
-    "rows": {}
+    "maxValue": {max_value},
+    "rows": {lines}
   }},
-  "slices": {}
+  "slices": {slices}
 }}
 """
-_STATS = """{{
-  "schema": {},
-  "aggregates": {}
+
+
+def _stats_json(schema, aggregates):
+    return f"""{{
+  "schema": {schema},
+  "aggregates": {aggregates}
 }}
 """
-_VERTEX = """{{
-      "index": {},
-      "id": {},
-      "label": {},
-      "degree": {},
-      "normalizedDegree": {},
-      "closeness": {},
-      "betweenness": {},
+
+
+def _vertex_json(index, vid, label, degree, normalized, closeness, betweenness, rd, rc, rb):
+    return f"""{{
+      "index": {index},
+      "id": {vid},
+      "label": {label},
+      "degree": {degree},
+      "normalizedDegree": {normalized},
+      "closeness": {closeness},
+      "betweenness": {betweenness},
       "ranks": {{
-        "degree": {},
-        "closeness": {},
-        "betweenness": {}
+        "degree": {rd},
+        "closeness": {rc},
+        "betweenness": {rb}
       }}
     }}"""
-_SLICE = """{{
-      "m": {},
-      "edgeCount": {},
-      "componentCount": {},
-      "components": {}
+
+
+def _slice_json(m, edge_count, component_count, components):
+    return f"""{{
+      "m": {m},
+      "edgeCount": {edge_count},
+      "componentCount": {component_count},
+      "components": {components}
     }}"""
-_COMPONENT = """{{
-          "members": {},
-          "size": {},
-          "edgeCount": {},
-          "density": {}
+
+
+def _component_json(members, size, edge_count, density):
+    return f"""{{
+          "members": {members},
+          "size": {size},
+          "edgeCount": {edge_count},
+          "density": {density}
         }}"""
 
 
@@ -189,16 +206,16 @@ def _aggregates_json(agg: NetworkAggregates) -> str:
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """The report as the ``_DOCUMENT`` text, with a final newline.
+    """The report as the ``_document_json`` text, with a final newline.
 
-    Keys keep the templates' order and nest with a two-space indent, as
+    Keys keep the layouts' order and nest with a two-space indent, as
     ``json.dumps(..., indent=2, ensure_ascii=False)`` writes them.  Strings
     are encoded by the ``json`` module's C string encoder, floats are
     written as ``repr`` (or ``NaN``, ``Infinity``, ``-Infinity``) and a
     missing figure as ``null``.
     """
     vertices = [
-        _VERTEX.format(
+        _vertex_json(
             pos,
             _string(vm.vertex),
             _string(vm.label),
@@ -213,13 +230,13 @@ def report_to_json(report: AnalysisReport) -> str:
         for pos, vm in enumerate(report.vertices, start=1)
     ]
     slices = [
-        _SLICE.format(
+        _slice_json(
             sl.m,
             sl.network.edge_count,
             len(sl.components),
             _array(
                 [
-                    _COMPONENT.format(
+                    _component_json(
                         _array(list(map(_string, comp.members)), 5),
                         comp.size,
                         comp.edge_count,
@@ -232,7 +249,7 @@ def report_to_json(report: AnalysisReport) -> str:
         )
         for sl in report.slices
     ]
-    return _DOCUMENT.format(
+    return _document_json(
         _string(report.schema),
         _string(report.closeness_variant),
         _string(report.component_density_variant),
@@ -254,7 +271,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def stats_to_json(aggregates: NetworkAggregates) -> str:
     """The ``--stats-only`` document: the schema tag and the aggregates."""
-    return _STATS.format(_string(SCHEMA_VERSION), _aggregates_json(aggregates))
+    return _stats_json(_string(SCHEMA_VERSION), _aggregates_json(aggregates))
 
 
 def _format_cell(value) -> str:

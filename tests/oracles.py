@@ -33,7 +33,6 @@ from interlock import (
     degree_stats,
     m_slice,
     pair_density,
-    weak_components,
 )
 from interlock.io import ParseDiagnostics
 from interlock.metrics import CLOSENESS_VARIANTS, path_sums
@@ -881,13 +880,15 @@ def component_summary(
 def reference_slice_decomposition(
     net: OneModeNetwork, m: int, density_variant: str = DENSITY_NO_LOOPS
 ) -> SliceDecomposition:
+    """The slice's components by transitive closure, each summarized over
+    its members' rows."""
     sliced = m_slice(net, m)
     return SliceDecomposition(
         m=m,
         network=sliced,
         components=[
             component_summary(sliced, members, density_variant)
-            for members in weak_components(sliced)
+            for members in brute_components(sliced)
         ],
     )
 

@@ -2,10 +2,20 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_components, component_summary, random_one_mode, validate_one_mode
+from oracles import (
+    brute_components,
+    component_summary,
+    random_one_mode,
+    reference_slice_decomposition,
+    validate_one_mode,
+)
 
 from interlock import (
+    DENSITY_LOOPS,
+    DENSITY_NO_LOOPS,
     OneModeNetwork,
     line_multiplicity_distribution,
     m_slice,
@@ -217,3 +227,59 @@ class TestSliceDecomposition:
             for m in (1, 2, 3):
                 deco = slice_decomposition(net, m)
                 assert all(value >= m for _, _, value in deco.network.edges())
+
+
+@st.composite
+def _isolate_mixes(draw):
+    """Networks of up to 14 journals that are all isolates, that have none,
+    or that interleave isolates with component members in vertex order.
+    Each journal drawn to have a line gets one to another such journal, so
+    only the slices, by dropping weak lines, make isolates of those."""
+    n = draw(st.integers(0, 14))
+    shape = draw(st.sampled_from(["isolates", "no isolates", "interleaved"]))
+    if shape == "interleaved":
+        linked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        linked = [shape == "no isolates" and n > 1] * n
+    net = OneModeNetwork(f"v{i:02d}" for i in range(n))
+    ids = [v for v, keep in zip(net.vertices, linked) if keep]
+    if len(ids) < 2:
+        return net
+    for u in ids:
+        v = draw(st.sampled_from([w for w in ids if w != u]))
+        if not net.value(u, v):
+            net.add_edge(u, v, draw(st.integers(1, 4)))
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=_isolate_mixes())
+def test_isolates_and_components_match_the_references(net):
+    for m in range(1, 6):
+        sliced = m_slice(net, m)
+        want = [sorted(c, key=sliced.index) for c in brute_components(sliced)]
+        assert weak_components(sliced) == want
+        for variant in (DENSITY_NO_LOOPS, DENSITY_LOOPS):
+            assert slice_decomposition(net, m, variant) == reference_slice_decomposition(
+                net, m, variant
+            )
+
+
+def test_isolates_are_listed_without_a_traversal(monkeypatch):
+    """k isolates and one line: only the line's two ends are walked."""
+    calls = []
+    neighbors = OneModeNetwork.neighbors
+    monkeypatch.setattr(
+        OneModeNetwork, "neighbors", lambda net, v: calls.append(v) or neighbors(net, v)
+    )
+    net = OneModeNetwork(f"i{k}" for k in range(40))
+    net.add_vertex("a")
+    net.add_vertex("b")
+    net.add_edge("a", "b", 2)
+    for k in range(40, 80):
+        net.add_vertex(f"i{k}")
+    components = weak_components(net)
+    assert sorted(calls) == ["a", "b"]
+    assert components == [[f"i{k}"] for k in range(40)] + [["a", "b"]] + [
+        [f"i{k}"] for k in range(40, 80)
+    ]

@@ -28,6 +28,19 @@ CASES = [
         "synthetic",
         {"--export-net": "synthetic.net"},
     ),
+    # most journals isolated at m >= 2; of the two named with a comma,
+    # "Review, Letters" has a line (a quoted edge-list cell) and
+    # "Notes, Quarterly" has none
+    (
+        GOLDEN / "isolates_boards.csv",
+        ["--slice", "1", "--slice", "2", "--slice", "3", "--density-variant", "loops"],
+        "isolates",
+        {
+            "--export-net": "isolates_journals.net",
+            "--export-csv": "isolates_edges.csv",
+            "--export-dot": "isolates_journals.dot",
+        },
+    ),
 ]
 
 

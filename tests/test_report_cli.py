@@ -233,17 +233,26 @@ _COMPONENT = st.builds(
     edge_count=_INT,
     density=_FLOAT,
 )
+# An isolated journal's summary as a slice gives it: one member, no line.
+_SINGLETON = st.builds(
+    ComponentSummary,
+    members=st.lists(_TEXT, min_size=1, max_size=1),
+    size=st.just(1),
+    edge_count=st.just(0),
+    density=st.sampled_from([0.0, -0.0]),
+)
 
 
 @st.composite
 def _slice(draw):
-    net = OneModeNetwork(f"v{i}" for i in range(draw(st.integers(0, 4))))
+    """A slice of a few lines among up to eight journals; many of its
+    components are singletons, as in a sparse field's higher slices."""
+    net = OneModeNetwork(f"v{i}" for i in range(draw(st.integers(0, 8))))
     for i in range(1, net.n):
         if draw(st.booleans()):
             net.add_edge("v0", f"v{i}", 1)
-    return SliceDecomposition(
-        m=draw(_INT), network=net, components=draw(st.lists(_COMPONENT, max_size=3))
-    )
+    components = st.lists(st.one_of(_SINGLETON, _COMPONENT), max_size=8)
+    return SliceDecomposition(m=draw(_INT), network=net, components=draw(components))
 
 
 _REPORT = st.builds(
