@@ -45,6 +45,42 @@ def _slice_threshold(text: str) -> int:
     return value
 
 
+# Every option of interlock-analyze, once: its flag and the keywords of its
+# add_argument call, in help order.  build_parser adds them to the parser;
+# _read_argv takes each default, choice list and kind from the same entries.
+_OPTIONS = (
+    ("--input", dict(required=True, help="membership CSV or two-mode NET file")),
+    ("--format", dict(
+        choices=("csv", "net"), help="input format; default is guessed from the file extension"
+    )),
+    ("--slice", dict(
+        action="append", type=_slice_threshold, metavar="M",
+        help="add an m-slice decomposition at threshold M (repeatable)",
+    )),
+    ("--closeness-variant", dict(
+        choices=CLOSENESS_VARIANTS, default="paper",
+        help="paper: plain reachable-count over distance-sum ratio; "
+        "component: the same ratio scaled by the reachable share of the network",
+    )),
+    ("--density-variant", dict(
+        choices=DENSITY_VARIANTS, default=DENSITY_NO_LOOPS,
+        help="denominator convention for per-component densities",
+    )),
+    ("--out", dict(help="write the JSON report here instead of stdout")),
+    ("--export-net", dict(metavar="PATH", help="write the one-mode NET file")),
+    ("--export-csv", dict(metavar="PATH", help="write the edge-list CSV")),
+    ("--export-dot", dict(metavar="PATH", help="write the DOT rendering")),
+    ("--tables", dict(action="store_true", help="print the three report tables to stdout")),
+    ("--stats-only", dict(
+        action="store_true",
+        help="emit only the aggregates block (also accepts a degree-census CSV)",
+    )),
+    ("--normalize-names", dict(
+        action="store_true", help="case-fold actor names when merging identities"
+    )),
+)
+
+
 def build_parser():
     """The ``argparse.ArgumentParser`` of ``interlock-analyze``, the one
     source of its help and usage errors."""
@@ -58,51 +94,8 @@ def build_parser():
             "and write a JSON report plus optional table and graph exports."
         ),
     )
-    parser.add_argument("--input", required=True, help="membership CSV or two-mode NET file")
-    parser.add_argument(
-        "--format",
-        choices=["csv", "net"],
-        help="input format; default is guessed from the file extension",
-    )
-    parser.add_argument(
-        "--slice",
-        action="append",
-        type=_slice_threshold,
-        metavar="M",
-        help="add an m-slice decomposition at threshold M (repeatable)",
-    )
-    parser.add_argument(
-        "--closeness-variant",
-        choices=CLOSENESS_VARIANTS,
-        default="paper",
-        help=(
-            "paper: plain reachable-count over distance-sum ratio; "
-            "component: the same ratio scaled by the reachable share of the network"
-        ),
-    )
-    parser.add_argument(
-        "--density-variant",
-        choices=DENSITY_VARIANTS,
-        default=DENSITY_NO_LOOPS,
-        help="denominator convention for per-component densities",
-    )
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--export-net", metavar="PATH", help="write the one-mode NET file")
-    parser.add_argument("--export-csv", metavar="PATH", help="write the edge-list CSV")
-    parser.add_argument("--export-dot", metavar="PATH", help="write the DOT rendering")
-    parser.add_argument(
-        "--tables", action="store_true", help="print the three report tables to stdout"
-    )
-    parser.add_argument(
-        "--stats-only",
-        action="store_true",
-        help="emit only the aggregates block (also accepts a degree-census CSV)",
-    )
-    parser.add_argument(
-        "--normalize-names",
-        action="store_true",
-        help="case-fold actor names when merging identities",
-    )
+    for flag, keywords in _OPTIONS:
+        parser.add_argument(flag, **keywords)
     return parser
 
 
@@ -125,41 +118,39 @@ def _read_argv(argv: Sequence[str]) -> _Options | None:
     the option or its ``=`` that is not empty, does not start with ``-``, is
     one of the option's choices and, for ``--slice``, is 1 to 18 decimal
     digits, not 0 (which ``int`` reads as argparse's type does, far below
-    its digit limit).
+    its digit limit).  Defaults, choices and kinds come from ``_OPTIONS``:
+    a ``store_true`` option is a switch, the one ``append`` option is
+    ``--slice``, and a ``required`` one must be given.
     """
+    options = dict(_OPTIONS)
     values = {
-        "input": None, "format": None, "slice": None, "closeness_variant": "paper",
-        "density_variant": DENSITY_NO_LOOPS, "out": None, "export_net": None,
-        "export_csv": None, "export_dot": None,
-        "tables": False, "stats_only": False, "normalize_names": False,
-    }
-    choices = {
-        "format": ("csv", "net"),
-        "closeness_variant": CLOSENESS_VARIANTS,
-        "density_variant": DENSITY_VARIANTS,
+        flag: keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        for flag, keywords in _OPTIONS
     }
     words, seen = iter(argv), set()
     for word in words:
-        option, eq, value = word.partition("=")
-        name = option[2:].replace("-", "_")
-        if option[:2] != "--" or "_" in option or name not in values or name in seen:
+        flag, eq, value = word.partition("=")
+        if flag not in options or flag in seen:
             return None
-        if values[name] is False:  # a switch
+        action, choices = options[flag].get("action"), options[flag].get("choices")
+        if action == "store_true":
             if eq:
                 return None
             value = True
         else:
             value = value if eq else next(words, "")
-            if value[:1] in ("", "-") or (name in choices and value not in choices[name]):
+            if value[:1] in ("", "-") or (choices and value not in choices):
                 return None
-            if name == "slice":
+            if action == "append":
                 if not (value.isdecimal() and len(value) < 19 and int(value)):
                     return None
-                value = (values["slice"] or []) + [int(value)]
-        values[name] = value
-        if name != "slice":
-            seen.add(name)
-    return _Options(values) if values["input"] is not None else None
+                value = (values[flag] or []) + [int(value)]
+        values[flag] = value
+        if action != "append":
+            seen.add(flag)
+    if any(values[flag] is None for flag, keywords in _OPTIONS if keywords.get("required")):
+        return None
+    return _Options({flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def _path(name: str) -> str:

@@ -3,7 +3,7 @@ weak components with per-component summaries."""
 
 from __future__ import annotations
 
-from collections import Counter, deque, namedtuple
+from collections import Counter, namedtuple
 from itertools import chain
 
 from .model import DENSITY_NO_LOOPS, OneModeNetwork, pair_density
@@ -70,16 +70,13 @@ def weak_components(net: OneModeNetwork) -> list[list[str]]:
             continue
         if start in seen:
             continue
-        queue = deque([start])
         seen.add(start)
         members = [start]
-        while queue:
-            u = queue.popleft()
+        for u in members:  # the list grows while it is read: a FIFO queue
             for v in net.neighbors(u):
                 if v not in seen:
                     seen.add(v)
                     members.append(v)
-                    queue.append(v)
         members.sort(key=net.index)
         components.append(members)
     return components
@@ -93,18 +90,19 @@ def slice_decomposition(
     """Slice at threshold ``m`` and summarize each weak component of the slice.
 
     Components are maximal, so each slice line lies inside exactly one of
-    them, and a component's line count is half its members' degree total.
+    them, and a component's line count is half its members' degree total,
+    each degree the length of the member's position row in the slice.
     A singleton has no line; its density is computed once per slice.
     """
     sliced = m_slice(net, m)
-    degree = dict(zip(sliced.vertices, sliced.degrees())).__getitem__
+    index, rows = sliced._index, sliced._rows
     alone = pair_density(1, 0, density_variant)
     components = []
     for members in weak_components(sliced):
         if len(members) == 1:
             components.append(ComponentSummary(members, 1, 0, alone))
             continue
-        size, edge_count = len(members), sum(map(degree, members)) // 2
+        size, edge_count = len(members), sum(len(rows[index[v]]) for v in members) // 2
         density = pair_density(size, edge_count, density_variant)
         components.append(ComponentSummary(members, size, edge_count, density))
     return SliceDecomposition(m=m, network=sliced, components=components)

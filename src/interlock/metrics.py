@@ -501,8 +501,7 @@ def vertex_metrics(
         _closeness(r, total, n, closeness_variant)
         for r, total in zip(sums.reach, sums.distance_sum)
     ]
-    betweenness_map = betweenness_centrality(net)
-    betweenness = [betweenness_map[v] for v in net.vertices]
+    betweenness = list(betweenness_centrality(net).values())  # in vertex order
     degree_ranks = rank_competition(degrees)
     closeness_ranks = rank_competition(closeness)
     betweenness_ranks = rank_competition(betweenness)

@@ -34,7 +34,7 @@ from interlock import (
     report_to_dict,
     report_to_json,
 )
-from interlock.cli import _WARNING_BATCH, _read_argv, build_parser, run_analyze
+from interlock.cli import _OPTIONS, _WARNING_BATCH, _read_argv, build_parser, run_analyze
 from interlock.data import TABLE2_DEGREES, TOY_BOARDS, data_path, load_text
 
 
@@ -1140,6 +1140,18 @@ def test_argv_fast_path_reads_a_documented_argv(argv):
 @pytest.mark.parametrize("head", [["--input", "boards.csv"], []], ids=["input", "no-input"])
 def test_argv_fast_path_leaves_the_rest_to_argparse(head, tail):
     assert _read_argv([*head, *tail]) is None
+
+
+def test_readme_flag_table_lists_every_option():
+    """The README's flag table names exactly the flags of ``_OPTIONS``, an
+    option with choices as ``--flag {a,b}`` in the order of its tuple."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    cells = [line.split("`")[1] for line in readme.splitlines() if line.startswith("| `--")]
+    flags = {word for cell in cells for word in cell.split() if word.startswith("--")}
+    assert flags == {flag for flag, _ in _OPTIONS}
+    for flag, keywords in _OPTIONS:
+        if "choices" in keywords:
+            assert f"{flag} {{{','.join(keywords['choices'])}}}" in cells
 
 
 # Inputs shaped like the two formats, in which any token may be swapped for
