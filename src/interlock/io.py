@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import io
 import unicodedata
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter
 
 from .model import EMPTY_IDENTIFIER, OneModeNetwork, TwoModeNetwork, normalize_identifier
 
@@ -100,47 +101,12 @@ def _lines(text: str, start: int = 0):
     return chain.from_iterable(map(io.StringIO, _chunks(text, start), repeat("")))
 
 
-class _CsvRows:
-    """The rows and ``line_num`` of ``csv.reader(io.StringIO(text, newline=""))``.
-    A chunk with no ``"``, NUL or lone ``\\r`` and at most ``csv.field_size_limit()``
-    characters is split by ``str.split`` (a blank line reads ``['']``); from
-    the first other chunk on, one ``csv.reader`` reads the rest, from a record.
-    Inside ``with``, a ``csv.Error`` is a :class:`FormatError` at its line."""
-
-    def __init__(self, text: str) -> None:
-        # _end: the last line of the split chunk being read (of all split
-        # chunks once the reader reads); _left(): that chunk's unread lines
-        self._reader, self._end, self._left = None, 0, int
-        pieces = self._pieces(text)
-        self._rows = chain.from_iterable(chain((next(pieces, ()),), pieces))
-
-    def __iter__(self):
-        return self._rows
-
-    def _pieces(self, text: str):
-        start, limit = 0, csv.field_size_limit()
-        for chunk in _chunks(text):
-            flat = chunk.replace("\r\n", "\n") if "\r" in chunk else chunk
-            if '"' in flat or "\0" in flat or "\r" in flat or len(chunk) > limit:
-                self._reader = csv.reader(_lines(text, start))
-                yield self._reader
-                return
-            lines = flat.removesuffix("\n").split("\n")
-            left = iter(lines)
-            self._end, self._left = self._end + len(lines), left.__length_hint__
-            yield map(str.split, left, repeat(","))
-            start += len(chunk)
-
-    @property
-    def line_num(self) -> int:
-        return self._end + (-self._left() if self._reader is None else self._reader.line_num)
-
-    def __enter__(self):  # a reader of the whole text is used as it is, line_num and all
-        return self if self._end or self._reader is None else self._reader
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, csv.Error):
-            raise FormatError(self.line_num, str(exc)) from None
+def _csv_rows(reader):
+    """The rows ``reader`` reads; a ``csv.Error`` is a :class:`FormatError` at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(reader.line_num, str(exc)) from None
 
 
 def _csv_header(rows) -> tuple[list[str], list[str]]:
@@ -150,6 +116,72 @@ def _csv_header(rows) -> tuple[list[str], list[str]]:
         if "".join(row).strip():
             return row, [cell.strip().lower() for cell in row]
     raise FormatError(1, "missing header row")
+
+
+# What bytes.translate deletes to test a chunk: every byte but "," and "\n"
+_NOT_COMMA_OR_LF = bytes(sorted({*range(256)} - {*b",\n"}))
+
+
+class _CsvRows:
+    """The ``(row, line)`` pairs of the rows after the header that
+    ``reader``, a ``csv.reader`` over ``_lines(text)``, has read: each
+    row's cells as that reader would read them, and its line.  From the
+    header's end the text is read in chunks.  One with no quote, NUL or
+    lone ``\\r`` and at most ``csv.field_size_limit()`` characters has its
+    lines counted, one to a row: if each holds exactly one comma, the
+    chunk is cut once and its rows are its two columns, taken by stride,
+    else a ``csv.reader`` of its own reads it.  The first other chunk
+    sends the rest through one ``csv.reader``: ``reader`` itself if no
+    chunk came before, and then its rows carry line 0 (its ``line_num`` is
+    their line).  Inside ``with``, a ``csv.Error`` is a
+    :class:`FormatError` at its line."""
+
+    def __init__(self, text: str, reader) -> None:
+        # the reader of the rest of the text, and the line before its first
+        self._reader, self._line = reader, 0
+        self._rows = chain.from_iterable(self._pieces(text))
+
+    def __iter__(self):
+        return self._rows
+
+    def _pieces(self, text: str):
+        line = header = self._reader.line_num
+        start = sum(map(len, islice(_lines(text), header)))
+        limit = csv.field_size_limit()
+        for chunk in _chunks(text, start):
+            crs = chunk.count("\r")
+            lone_cr = crs and crs != chunk.count("\r\n")
+            if '"' in chunk or "\0" in chunk or lone_cr or len(chunk) > limit:
+                if line == header:
+                    yield zip(self._reader, repeat(0))
+                else:
+                    reader = csv.reader(_lines(text, start))
+                    self._reader, self._line = reader, line
+                    read = map(attrgetter("line_num"), repeat(reader))
+                    yield zip(reader, map(line.__add__, read))
+                return
+            start += len(chunk)
+            if crs:  # each \r ends a line, before its \n
+                chunk = chunk.replace("\r", "")
+            if chunk[-1] != "\n":  # the last line of a text with no final line end
+                chunk += "\n"
+            lines = chunk.count("\n")
+            numbers = range(line + 1, line + lines + 1)
+            line += lines
+            # the chunk's commas and line ends, in order
+            marks = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_COMMA_OR_LF)
+            if marks == b",\n" * lines:
+                cells = chunk.replace("\n", ",").split(",")
+                yield zip(zip(cells[0::2], cells[1::2]), numbers)
+            else:
+                yield zip(csv.reader(io.StringIO(chunk, newline="")), numbers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, csv.Error):
+            raise FormatError(self._line + self._reader.line_num, str(exc)) from None
 
 
 def parse_csv_affiliations(
@@ -163,23 +195,26 @@ def parse_csv_affiliations(
     """
     diags = ParseDiagnostics()
     net = TwoModeNetwork(casefold_actors=casefold_actors)
-    with _CsvRows(text) as rows:
-        row, names = _csv_header(rows)
-        if sorted(names) != ["actor", "event"]:
-            raise FormatError(
-                rows.line_num, f"expected header with columns actor,event; got {row!r}"
-            )
-        event_col, actor_col = names.index("event"), names.index("actor")
-        # One loop frame per row: the event memo is probed, the actor id is
-        # computed by normalize_identifier's rule and the seat is stored as
-        # TwoModeNetwork.add_affiliation stores it, all inline.
-        event_ids, add_event, holdings = net._event_ids, net.add_event, net._actor_events
-        normalize, warn = unicodedata.normalize, diags.warnings.append
-        records = duplicates = 0
-        for row in rows:
+    reader = csv.reader(_lines(text))
+    row, names = _csv_header(_csv_rows(reader))
+    if sorted(names) != ["actor", "event"]:
+        raise FormatError(
+            reader.line_num, f"expected header with columns actor,event; got {row!r}"
+        )
+    event_col, actor_col = names.index("event"), names.index("actor")
+    # One loop frame per row: the event memo is probed, the actor id is
+    # computed by normalize_identifier's rule and the seat is stored as
+    # TwoModeNetwork.add_affiliation stores it, all inline.  A row that
+    # reader reads on carries line 0: its line is read from reader only for
+    # a warning or an error.
+    event_ids, add_event, holdings = net._event_ids, net.add_event, net._actor_events
+    normalize, warn = unicodedata.normalize, diags.warnings.append
+    records = duplicates = 0
+    with _CsvRows(text, reader) as rows:
+        for row, line in rows:
             if len(row) != 2:
                 if "".join(row).strip():
-                    raise FormatError(rows.line_num, f"expected 2 fields, got {len(row)}")
+                    raise FormatError(line or reader.line_num, f"expected 2 fields, got {len(row)}")
                 continue
             event = row[event_col]
             eid = event_ids.get(event)
@@ -199,7 +234,7 @@ def parse_csv_affiliations(
             # so a row is tested for blankness only once one of them is.
             if not (eid and aid):
                 if "".join(row).strip():
-                    raise FormatError(rows.line_num, EMPTY_IDENTIFIER)
+                    raise FormatError(line or reader.line_num, EMPTY_IDENTIFIER)
                 continue
             records += 1
             held = holdings.get(aid)
@@ -213,7 +248,7 @@ def parse_csv_affiliations(
                 duplicates += 1
                 # repr(row), without the list repr's recursion guard
                 a, b = row
-                warn((rows.line_num, f"duplicate membership collapsed: [{a!r}, {b!r}]"))
+                warn((line or reader.line_num, f"duplicate membership collapsed: [{a!r}, {b!r}]"))
     diags.records_read, diags.duplicates_collapsed = records, duplicates
     return net, diags
 
@@ -525,31 +560,32 @@ def write_dot(net: OneModeNetwork) -> str:
 
 def csv_kind(text: str) -> str:
     """Classify a CSV head as ``affiliations`` or ``degrees`` by its header."""
-    with _CsvRows(text) as rows:
-        row, names = _csv_header(rows)
+    reader = csv.reader(_lines(text))
+    row, names = _csv_header(_csv_rows(reader))
     if sorted(names) == ["actor", "event"]:
         return "affiliations"
     if "degree" in names:
         return "degrees"
-    raise FormatError(rows.line_num, f"unrecognized header: {row!r}")
+    raise FormatError(reader.line_num, f"unrecognized header: {row!r}")
 
 
 def parse_degree_list_csv(text: str) -> tuple[list[int], ParseDiagnostics]:
     """Read a per-vertex degree census (any header containing ``degree``)."""
     degrees: list[int] = []
-    with _CsvRows(text) as rows:
-        row, names = _csv_header(rows)
-        if "degree" not in names:
-            raise FormatError(rows.line_num, f"no degree column in header: {row!r}")
-        col, width = names.index("degree"), len(names)
-        for row in rows:
-            if not "".join(row).strip():
-                continue
-            line = rows.line_num
-            if len(row) != width:
-                raise FormatError(line, f"expected {width} fields, got {len(row)}")
-            cell = row[col].strip()
-            if not cell.isdecimal():
-                raise FormatError(line, f"degree must be a non-negative integer, got {cell!r}")
-            degrees.append(_int(cell, line))
+    reader = csv.reader(_lines(text))
+    rows = _csv_rows(reader)
+    row, names = _csv_header(rows)
+    if "degree" not in names:
+        raise FormatError(reader.line_num, f"no degree column in header: {row!r}")
+    col, width = names.index("degree"), len(names)
+    for row in rows:
+        if not "".join(row).strip():
+            continue
+        line = reader.line_num
+        if len(row) != width:
+            raise FormatError(line, f"expected {width} fields, got {len(row)}")
+        cell = row[col].strip()
+        if not cell.isdecimal():
+            raise FormatError(line, f"degree must be a non-negative integer, got {cell!r}")
+        degrees.append(_int(cell, line))
     return degrees, ParseDiagnostics(records_read=len(degrees))

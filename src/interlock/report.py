@@ -237,7 +237,10 @@ def report_to_json(report: AnalysisReport) -> str:
             _array(
                 [
                     _component_json(
-                        _array(list(map(_string, comp.members)), 5),
+                        # a one-member array as _array writes it at depth 5
+                        f"[\n            {_string(comp.members[0])}\n          ]"
+                        if len(comp.members) == 1
+                        else _array(list(map(_string, comp.members)), 5),
                         comp.size,
                         comp.edge_count,
                         _float(comp.density),

@@ -3,6 +3,7 @@ import io
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -24,6 +25,7 @@ from interlock import (
     BipartitenessError,
     FormatError,
     OneModeNetwork,
+    ParseDiagnostics,
     TwoModeNetwork,
     parse_csv_affiliations,
     parse_degree_list_csv,
@@ -411,11 +413,12 @@ class TestParseDegreeListCsv:
 # few names, an event id inside another (J1, J10), a letter that case folding decomposes (U+01F0), fields that
 # need quoting (a comma, a line break, a quote), and cells whose repr in a
 # duplicate warning switches to double quotes (an apostrophe) or escapes a
-# character (a backslash, a zero-width space).  A quoted line break, ``\n``
-# or ``\r\n``, makes a field that a chunk cut can fall inside.
+# character (a backslash, a zero-width space, a lone surrogate, which UTF-8
+# encodes only with "surrogatepass").  A quoted line break, ``\n`` or
+# ``\r\n``, makes a field that a chunk cut can fall inside.
 _ACTOR_CELLS = [
     "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "Smith, J", "O\"Neil", "two\nlines",
-    "O'Neil", "back\\slash", "zero\u200bwidth", "crlf\r\nlines",
+    "O'Neil", "back\\slash", "zero\u200bwidth", "crlf\r\nlines", "lone\ud800surrogate",
 ]
 _EVENT_CELLS = ["J1", " J1", "j1", "J10", "J 2", "J\n3", "Lib, Sci", "J\r\n4"]
 
@@ -685,53 +688,93 @@ def test_chunked_lines_are_the_whole_text_lines(text, chunk):
         assert list(_lines(text)) == list(io.StringIO(text, newline=""))
 
 
-def _csv_module_rows(text):
-    """The (row, line) pairs ``csv.reader`` reads from the whole text, then
-    the reason and line of the ``csv.Error`` that ended it, if any.  A blank
-    line reads ``[""]``, as the split path reads it, not ``[]``."""
+def _csv_module_rows(text, header):
+    """The (row, line) pairs ``csv.reader`` reads from the whole text after
+    its first ``header`` rows, then the reason and line of the ``csv.Error``
+    that ended it, if any."""
     reader = csv.reader(io.StringIO(text, newline=""))
     out = []
     try:
-        out += ((row or [""], reader.line_num) for row in reader)
+        for _ in zip(range(header), reader):
+            pass
+        out += ((row, reader.line_num) for row in reader)
     except csv.Error as exc:
         out.append((str(exc), reader.line_num))
     return out
 
 
+def _one_comma_per_line(piece):
+    """Whether every line of a chunk holds exactly one comma, its \\r\\n
+    pairs read as line ends (the reference for the readers' byte check)."""
+    lines = piece.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    return all(line.count(",") == 1 for line in lines)
+
+
 @settings(max_examples=1500, deadline=None)
 @given(
-    text=st.text(alphabet=',"\r\n\x00\x0c\x85 \u00e9\u0130', max_size=60),
+    text=st.text(alphabet=',"\r\n\x00\x0c\x85 \u00e9\u0130\ud800', max_size=60),
+    header=st.integers(0, 2),
     chunk=_CHUNKS,
     limit=st.one_of(st.integers(1, 12), st.just(csv.field_size_limit())),
 )
-def test_csv_row_source_matches_the_csv_module(text, chunk, limit):
+def test_csv_row_source_matches_the_csv_module(text, header, chunk, limit):
     old_limit = csv.field_size_limit(limit)
     got = []
     try:
         with mock.patch.object(interlock.io, "_CHUNK", chunk):
-            want = _csv_module_rows(text)
-            with mock.patch.object(interlock.io, "_lines", wraps=interlock.io._lines) as lines:
-                source = _CsvRows(text)
+            want = _csv_module_rows(text, header)
+            # a reader over the text that has read the first rows, as the
+            # header's reader has
+            reader = csv.reader(_lines(text))
+            try:
+                for _ in zip(range(header), reader):
+                    pass
+            except csv.Error:
+                return  # the csv module stops in the header: nothing is left
+            start = len("".join(islice(io.StringIO(text, newline=""), reader.line_num)))
+            with (
+                mock.patch.object(interlock.io, "_lines", wraps=interlock.io._lines) as lines,
+                mock.patch.object(interlock.io.csv, "reader", wraps=interlock.io.csv.reader) as readers,
+            ):
                 try:
-                    with source as rows:
-                        got += ((row or [""], rows.line_num) for row in rows)
+                    with _CsvRows(text, reader) as rows:
+                        # a row that reader reads on carries line 0
+                        got += ((list(row), line or reader.line_num) for row, line in rows)
                 except FormatError as exc:
                     got.append((exc.reason, exc.line))
-            # the split path reads each chunk up to the first with a quote, a
-            # NUL, a \r outside a \r\n pair or more characters than the limit
-            start = 0
-            for piece in _chunks(text):
+            # the chunks from the header's end up to the first with a quote,
+            # a NUL, a \r outside a \r\n pair or more characters than the
+            # limit; those with a line of another width each have a reader
+            first, own_readers = start, 0
+            for piece in _chunks(text, start):
                 if any(c in piece.replace("\r\n", "") for c in '"\0\r') or len(piece) > limit:
                     break
+                own_readers += not _one_comma_per_line(piece)
                 start += len(piece)
     finally:
         csv.field_size_limit(old_limit)
     assert got == want
     if start == len(text):
-        assert lines.call_count == 0 and source._reader is None
-    else:  # the csv module reads the rest, and all of it through the reader itself
-        assert lines.call_args_list == [mock.call(text, start)]
-        assert (rows is source._reader) == (start == 0)
+        assert readers.call_count == own_readers
+        assert lines.call_args_list == [mock.call(text)]
+    elif start == first:  # reader itself reads the rest
+        assert readers.call_count == 0
+    else:  # one more reader reads the rest, from a line-aligned start
+        assert readers.call_count == own_readers + 1
+        assert lines.call_args_list == [mock.call(text), mock.call(text, start)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, interlock.io._CHUNK])
+def test_a_comma_count_equal_to_the_line_count_is_not_one_comma_per_line(chunk):
+    # 3 lines, 3 commas: a comma-less line beside a 3-cell line
+    with mock.patch.object(interlock.io, "_CHUNK", chunk), pytest.raises(FormatError) as err:
+        parse_csv_affiliations("actor,event\na\nb,J1,x\n")
+    assert (err.value.line, err.value.reason) == (2, "expected 2 fields, got 1")
+    # a blank line beside a blank 3-cell line, then one seat
+    with mock.patch.object(interlock.io, "_CHUNK", chunk):
+        net, diags = parse_csv_affiliations("actor,event\n\n,,\nA,J1\n")
+    assert (net.actors, net.events, net.members("J1")) == (("A",), ("J1",), frozenset({"A"}))
+    assert diags == ParseDiagnostics(records_read=1)
 
 
 # Every ASCII character, with weight on the ones str.strip trims

@@ -695,6 +695,15 @@ class TestCli:
             assert run_analyze(["--input", str(bad)]) == 1
             assert capsys.readouterr().err.startswith(f"{bad}:2: ")
 
+    def test_a_row_of_another_width_exits_1_though_the_commas_match_the_lines(
+        self, tmp_path, capsys
+    ):
+        # 3 lines and 3 commas, but line 2 holds none
+        bad = tmp_path / "widths.csv"
+        bad.write_text("actor,event\na\nb,J1,x\n", encoding="utf-8")
+        assert run_analyze(["--input", str(bad)]) == 1
+        assert capsys.readouterr() == ("", f"{bad}:2: expected 2 fields, got 1\n")
+
     def test_oversized_quote_free_cell_exits_1_with_the_csv_modules_message(
         self, tmp_path, capsys
     ):

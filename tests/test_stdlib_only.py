@@ -5,6 +5,7 @@ loads no stdlib module a run does not use, and the result records keep
 their value API (keyword construction, ``==``, ``repr``, immutability).
 Every annotation in the package resolves, though no run imports typing."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -212,3 +213,15 @@ def test_every_annotation_resolves():
                     checked.append(f"{info.name}.{fn.__qualname__}")
     assert "interlock.cli._analyze" in checked
     assert "interlock.model.OneModeNetwork.neighbors" in checked
+
+
+def test_package_source_keeps_to_the_python_3_10_grammar():
+    # pyproject.toml declares requires-python >= 3.10; ast checks a source
+    # against an older minor version's grammar, best effort (it does reject
+    # 3.11's except*)
+    sources = sorted((SRC / "interlock").glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
