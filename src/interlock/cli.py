@@ -288,11 +288,13 @@ def _analyze(args: _Options) -> None:
         return _run_degree_census(args, text)
     parse = parse_net_two_mode if fmt == "net" else parse_csv_affiliations
     two_mode, diags = parse(text, casefold_actors=args.normalize_names)
+    # the warnings' text can then reuse the memory of the input
+    del text
     _write_warnings(args.input, diags.warnings)  # before any output, all or nothing
     net = project_events(two_mode)
-    # the report's allocations can then reuse the memory of the input, the
-    # seat store and the warnings, which lowers the run's peak RSS
-    del text, two_mode, diags
+    # the report's allocations can then reuse the memory of the seat store
+    # and the warnings, which lowers the run's peak RSS
+    del two_mode, diags
 
     tables = ""
     if args.stats_only:

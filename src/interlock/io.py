@@ -118,31 +118,36 @@ def _csv_header(rows) -> tuple[list[str], list[str]]:
     raise FormatError(1, "missing header row")
 
 
-# What bytes.translate deletes to test a chunk: every byte but "," and "\n"
+# What bytes.translate deletes to test a chunk: every byte but "," and "\n";
+# and the plain bytes, printable ASCII but ",", "'" and "\\", of which a cell
+# is its own repr inside single quotes.
 _NOT_COMMA_OR_LF = bytes(sorted({*range(256)} - {*b",\n"}))
+_PLAIN = bytes(sorted({*range(0x20, 0x7F)} - {*b",'\\"}))
 
 
 class _CsvRows:
-    """The ``(row, line)`` pairs of the rows after the header that
-    ``reader``, a ``csv.reader`` over ``_lines(text)``, has read: each
-    row's cells as that reader would read them, and its line.  From the
-    header's end the text is read in chunks.  One with no quote, NUL or
-    lone ``\\r`` and at most ``csv.field_size_limit()`` characters has its
-    lines counted, one to a row: if each holds exactly one comma, the
-    chunk is cut once and its rows are its two columns, taken by stride,
-    else a ``csv.reader`` of its own reads it.  The first other chunk
-    sends the rest through one ``csv.reader``: ``reader`` itself if no
-    chunk came before, and then its rows carry line 0 (its ``line_num`` is
-    their line).  Inside ``with``, a ``csv.Error`` is a
-    :class:`FormatError` at its line."""
+    """The rows after the header that ``reader``, a ``csv.reader`` over
+    ``_lines(text)``, has read, as ``(pairs, plain)`` pieces: ``pairs``
+    yields each row's cells as that reader would read them, with its line,
+    and ``plain`` says that each cell is printable ASCII other than ``'``
+    and ``\\``.  From the header's end the text is read in chunks.  One with
+    no quote, NUL or lone ``\\r`` and at most ``csv.field_size_limit()``
+    characters has its lines counted, one to a row: if each holds exactly
+    one comma, the chunk is cut once and its rows are its two columns,
+    taken by stride (a plain piece if every cell is plain), else a
+    ``csv.reader`` of its own reads it.  The first other chunk sends the
+    rest through one ``csv.reader``: ``reader`` itself if no chunk came
+    before, and then its rows carry line 0 (its ``line_num`` is their
+    line).  Inside ``with``, a ``csv.Error`` is a :class:`FormatError` at
+    its line."""
 
     def __init__(self, text: str, reader) -> None:
         # the reader of the rest of the text, and the line before its first
         self._reader, self._line = reader, 0
-        self._rows = chain.from_iterable(self._pieces(text))
+        self._iter = self._pieces(text)
 
     def __iter__(self):
-        return self._rows
+        return self._iter
 
     def _pieces(self, text: str):
         line = header = self._reader.line_num
@@ -153,12 +158,12 @@ class _CsvRows:
             lone_cr = crs and crs != chunk.count("\r\n")
             if '"' in chunk or "\0" in chunk or lone_cr or len(chunk) > limit:
                 if line == header:
-                    yield zip(self._reader, repeat(0))
+                    yield zip(self._reader, repeat(0)), False
                 else:
                     reader = csv.reader(_lines(text, start))
                     self._reader, self._line = reader, line
                     read = map(attrgetter("line_num"), repeat(reader))
-                    yield zip(reader, map(line.__add__, read))
+                    yield zip(reader, map(line.__add__, read)), False
                 return
             start += len(chunk)
             if crs:  # each \r ends a line, before its \n
@@ -168,13 +173,16 @@ class _CsvRows:
             lines = chunk.count("\n")
             numbers = range(line + 1, line + lines + 1)
             line += lines
-            # the chunk's commas and line ends, in order
-            marks = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_COMMA_OR_LF)
-            if marks == b",\n" * lines:
+            # the chunk's bytes but the plain ones; in a plain chunk with one
+            # comma per line, its commas and line ends, in order
+            rest = chunk.encode("utf-8", "surrogatepass").translate(None, _PLAIN)
+            marks = b",\n" * lines
+            plain = rest == marks
+            if plain or rest.translate(None, _NOT_COMMA_OR_LF) == marks:
                 cells = chunk.replace("\n", ",").split(",")
-                yield zip(zip(cells[0::2], cells[1::2]), numbers)
+                yield zip(zip(cells[0::2], cells[1::2]), numbers), plain
             else:
-                yield zip(csv.reader(io.StringIO(chunk, newline="")), numbers)
+                yield zip(csv.reader(io.StringIO(chunk, newline="")), numbers), False
 
     def __enter__(self):
         return self
@@ -210,45 +218,55 @@ def parse_csv_affiliations(
     event_ids, add_event, holdings = net._event_ids, net.add_event, net._actor_events
     normalize, warn = unicodedata.normalize, diags.warnings.append
     records = duplicates = 0
-    with _CsvRows(text, reader) as rows:
-        for row, line in rows:
-            if len(row) != 2:
-                if "".join(row).strip():
-                    raise FormatError(line or reader.line_num, f"expected 2 fields, got {len(row)}")
-                continue
-            event = row[event_col]
-            eid = event_ids.get(event)
-            if eid is None:
-                try:
-                    eid = add_event(event)
-                except ValueError:  # empty after trimming
-                    eid = ""
-            aid = row[actor_col].strip()
-            if not aid.isascii():  # NFC leaves ASCII as it is, and casefold() is lower()
-                aid = normalize("NFC", aid)
-                if casefold_actors:
-                    aid = normalize("NFC", aid.casefold())
-            elif casefold_actors:
-                aid = aid.lower()
-            # A 2-cell row is blank exactly when both identifiers are empty,
-            # so a row is tested for blankness only once one of them is.
-            if not (eid and aid):
-                if "".join(row).strip():
-                    raise FormatError(line or reader.line_num, EMPTY_IDENTIFIER)
-                continue
-            records += 1
-            held = holdings.get(aid)
-            if held is None:  # a first board: its bare id
-                holdings[aid] = eid
-            elif type(held) is not dict and held != eid:  # a second board
-                holdings[aid] = {held: None, eid: None}
-            elif type(held) is dict and eid not in held:
-                held[eid] = None
-            else:
-                duplicates += 1
-                # repr(row), without the list repr's recursion guard
-                a, b = row
-                warn((line or reader.line_num, f"duplicate membership collapsed: [{a!r}, {b!r}]"))
+    with _CsvRows(text, reader) as pieces:
+        for rows, plain in pieces:
+            for row, line in rows:
+                if len(row) != 2:
+                    if "".join(row).strip():
+                        why = f"expected 2 fields, got {len(row)}"
+                        raise FormatError(line or reader.line_num, why)
+                    continue
+                event = row[event_col]
+                eid = event_ids.get(event)
+                if eid is None:
+                    try:
+                        eid = add_event(event)
+                    except ValueError:  # empty after trimming
+                        eid = ""
+                aid = row[actor_col].strip()
+                # a plain piece is ASCII; NFC leaves ASCII as it is, and
+                # casefold() is lower() there
+                if not plain and not aid.isascii():
+                    aid = normalize("NFC", aid)
+                    if casefold_actors:
+                        aid = normalize("NFC", aid.casefold())
+                elif casefold_actors:
+                    aid = aid.lower()
+                # A 2-cell row is blank exactly when both identifiers are
+                # empty, so a row is tested for blankness only once one of
+                # them is.
+                if not (eid and aid):
+                    if "".join(row).strip():
+                        raise FormatError(line or reader.line_num, EMPTY_IDENTIFIER)
+                    continue
+                records += 1
+                held = holdings.get(aid)
+                if held is None:  # a first board: its bare id
+                    holdings[aid] = eid
+                elif type(held) is not dict and held != eid:  # a second board
+                    holdings[aid] = {held: None, eid: None}
+                elif type(held) is dict and eid not in held:
+                    held[eid] = None
+                else:
+                    duplicates += 1
+                    # repr(row), without the list repr's recursion guard,
+                    # and in a plain piece without repr
+                    a, b = row
+                    if plain:
+                        warn((line, f"duplicate membership collapsed: ['{a}', '{b}']"))
+                    else:
+                        why = f"duplicate membership collapsed: [{a!r}, {b!r}]"
+                        warn((line or reader.line_num, why))
     diags.records_read, diags.duplicates_collapsed = records, duplicates
     return net, diags
 

@@ -7,7 +7,7 @@ from itertools import islice
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -415,10 +415,13 @@ class TestParseDegreeListCsv:
 # duplicate warning switches to double quotes (an apostrophe) or escapes a
 # character (a backslash, a zero-width space, a lone surrogate, which UTF-8
 # encodes only with "surrogatepass").  A quoted line break, ``\n`` or
-# ``\r\n``, makes a field that a chunk cut can fall inside.
+# ``\r\n``, makes a field that a chunk cut can fall inside.  ASCII control
+# characters that repr escapes (a tab, a form feed, DEL) make a quote-free
+# ASCII chunk that is not plain.
 _ACTOR_CELLS = [
     "Ann", "ann", " ANN ", "e\u0301", "\u00e9", "\u01f0", "Smith, J", "O\"Neil", "two\nlines",
     "O'Neil", "back\\slash", "zero\u200bwidth", "crlf\r\nlines", "lone\ud800surrogate",
+    "tab\there", "del\x7fhere", "ff\x0chere",
 ]
 _EVENT_CELLS = ["J1", " J1", "j1", "J10", "J 2", "J\n3", "Lib, Sci", "J\r\n4"]
 
@@ -512,6 +515,39 @@ def test_csv_ingest_matches_per_row_reference(text, casefold, chunk):
     projected = project_events(net)
     assert projected.vertices == net.events
     assert {(u, v): value for u, v, value in projected.edges()} == brute_project_events(net)
+
+
+# A quote-free cell: any ASCII character but a quote, a comma or a line
+# end, with weight on those next to the printable ones that repr spells as
+# they are (an apostrophe, a backslash, a tab, DEL), or a letter that NFC
+# (\u212b) or case folding (\u00df, \u0130, \u01f0) changes
+_UNQUOTED_CELLS = st.text(
+    alphabet=st.one_of(
+        st.characters(max_codepoint=127, blacklist_characters='",\n\r'),
+        st.sampled_from("'\\\t\x7f"),
+        st.sampled_from("\u00e9\u00df\u0130\u01f0\u212b"),
+    ),
+    min_size=1,
+    max_size=10,
+).filter(str.strip)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    a=_UNQUOTED_CELLS,
+    b=_UNQUOTED_CELLS,
+    newline=st.sampled_from(["\n", "\r\n"]),
+    end=st.booleans(),
+    casefold=st.booleans(),
+    chunk=_CHUNKS,
+)
+def test_duplicate_warning_spells_cells_as_repr_does(a, b, newline, end, casefold, chunk):
+    text = newline.join(["actor,event", f"{a},{b}", f"{a},{b}"]) + newline * end
+    assume("\0" not in text or sys.version_info >= (3, 11))  # else the csv module rejects it
+    with mock.patch.object(interlock.io, "_CHUNK", chunk):
+        net, diags = parse_csv_affiliations(text, casefold_actors=casefold)
+    assert diags.warnings == [(3, f"duplicate membership collapsed: [{a!r}, {b!r}]")]
+    assert net.actors == (normalize_identifier(a, casefold=casefold),)
 
 
 def _outcome(call, *args):
@@ -710,16 +746,25 @@ def _one_comma_per_line(piece):
     return all(line.count(",") == 1 for line in lines)
 
 
+def _plain(piece):
+    """Whether every character of a chunk but its commas and line ends is
+    printable ASCII other than ``'`` and ``\\``, its \\r\\n pairs read as line
+    ends (the reference for the readers' plain pieces)."""
+    return all(
+        c in ",\n" or (" " <= c <= "~" and c not in "'\\") for c in piece.replace("\r\n", "\n")
+    )
+
+
 @settings(max_examples=1500, deadline=None)
 @given(
-    text=st.text(alphabet=',"\r\n\x00\x0c\x85 \u00e9\u0130\ud800', max_size=60),
+    text=st.text(alphabet=',"\r\n\x00\x0c\x85 ~\'\\\x7f\u00e9\u0130\ud800', max_size=60),
     header=st.integers(0, 2),
     chunk=_CHUNKS,
     limit=st.one_of(st.integers(1, 12), st.just(csv.field_size_limit())),
 )
 def test_csv_row_source_matches_the_csv_module(text, header, chunk, limit):
     old_limit = csv.field_size_limit(limit)
-    got = []
+    got, flags = [], []
     try:
         with mock.patch.object(interlock.io, "_CHUNK", chunk):
             want = _csv_module_rows(text, header)
@@ -737,23 +782,29 @@ def test_csv_row_source_matches_the_csv_module(text, header, chunk, limit):
                 mock.patch.object(interlock.io.csv, "reader", wraps=interlock.io.csv.reader) as readers,
             ):
                 try:
-                    with _CsvRows(text, reader) as rows:
-                        # a row that reader reads on carries line 0
-                        got += ((list(row), line or reader.line_num) for row, line in rows)
+                    with _CsvRows(text, reader) as pieces:
+                        for rows, plain in pieces:
+                            flags.append(plain)
+                            # a row that reader reads on carries line 0
+                            got += ((list(row), line or reader.line_num) for row, line in rows)
                 except FormatError as exc:
                     got.append((exc.reason, exc.line))
             # the chunks from the header's end up to the first with a quote,
             # a NUL, a \r outside a \r\n pair or more characters than the
-            # limit; those with a line of another width each have a reader
-            first, own_readers = start, 0
+            # limit; those with a line of another width each have a reader,
+            # and the others are plain where each character is
+            first, own_readers, want_flags = start, 0, []
             for piece in _chunks(text, start):
                 if any(c in piece.replace("\r\n", "") for c in '"\0\r') or len(piece) > limit:
                     break
-                own_readers += not _one_comma_per_line(piece)
+                cut = _one_comma_per_line(piece)
+                own_readers += not cut
+                want_flags.append(cut and _plain(piece))
                 start += len(piece)
     finally:
         csv.field_size_limit(old_limit)
     assert got == want
+    assert flags == want_flags + [False] * (start < len(text))
     if start == len(text):
         assert readers.call_count == own_readers
         assert lines.call_args_list == [mock.call(text)]
