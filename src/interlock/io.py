@@ -342,6 +342,103 @@ def _vertex_name(names: dict[int, str], idx: int) -> str:
     return names[idx] if idx in names else str(idx)
 
 
+def _regular_cut(text: str):
+    """``(counts, vertices, edges)`` of a text whose first line is exactly
+    ``*Vertices <n> <nEvents>`` in ASCII digits, one space apart, and that
+    holds ``*Edges`` and a line end: the two numbers, then the text between
+    the first line and the last such ``*Edges``, and the text after it.
+    None for any other text."""
+    head, _, rest = text.partition("\n")
+    fields = head.split()
+    digits = "".join(fields[1:])
+    if not (
+        len(fields) == 3 and head == " ".join(fields)
+        and fields[0] == "*Vertices" and digits.isascii() and digits.isdigit()
+    ):
+        return None
+    # the last *Edges: a regular vertex block holds none, and ends in a line
+    # end, so that this one is a line of its own
+    vertices, marker, edges = rest.rpartition("*Edges\n")
+    if not marker:
+        return None
+    try:
+        counts = list(map(int, fields[1:]))
+    except ValueError:  # too long for int: the section scan names it
+        return None
+    return counts, vertices, edges
+
+
+def _regular_vertices(block: str, n: int):
+    """Labels and lines of the vertices the lines of ``block``, the first
+    on line 2, define, if every line reads ``<index> "<label>"`` with one
+    space and a line end, the index in ASCII digits, within 1..n and on no
+    other line, and no label holds a line break ``str.splitlines`` knows;
+    else None."""
+    if not block:
+        return {}, {}
+    # the first and last characters the exact test below implies, checked
+    # first to turn away a comment, a blank line or a tail there at no cost
+    if not block[0].isdigit() or not block.endswith('"\n'):
+        return None
+    parts = block.split('"')
+    spaces, labels = parts[0::2], parts[1::2]
+    indices = "".join(spaces).split()
+    # the parts around the labels are exactly "<index> ", "\n<index> " for
+    # each later line, and "\n" after the last label
+    if '"'.join(spaces) != ' "\n'.join(indices) + ' "\n':
+        return None
+    digits, text = "".join(indices), "".join(labels)
+    if not (digits.isascii() and digits.isdigit()) or text and text.splitlines() != [text]:
+        return None
+    try:
+        indices = list(map(int, indices))
+    except ValueError:  # too long for int: _parse_vertex_defs names it
+        return None
+    # one key a label: no index repeats, and no quote is left over
+    names = dict(zip(indices, labels))
+    if not (len(names) == len(labels) and 1 <= min(names) and max(names) <= n):
+        return None
+    return names, dict(zip(indices, range(2, 2 + len(labels))))
+
+
+_ASCII_DIGITS = b"0123456789"
+
+
+def _regular_edges(block: str, n: int, n_events: int):
+    """``(events, actors)``: the columns of the lines of ``block`` if every
+    line reads ``<event> <actor>`` and a line end, in ASCII digits one
+    space apart, with 1 <= event <= nEvents < actor <= n; else None."""
+    if not block:
+        return [], []
+    if not block.isascii():
+        return None
+    data = block.encode()
+    # one space and a line end on each line and nothing else but digits;
+    # then a line with no digits on one side of its space leaves the count
+    # short
+    skeleton = data.translate(None, _ASCII_DIGITS)
+    lines = len(skeleton) // 2
+    if skeleton != b" \n" * lines:
+        return None
+    # the first event alone, then the events, then the actors: a block with
+    # actors first on some lines is turned away before it is all read
+    try:
+        if int(data[: data.find(b" ")]) > n_events:
+            return None
+        tokens = data.split()
+        if len(tokens) != 2 * lines:
+            return None
+        events = list(map(int, tokens[0::2]))
+        if not 1 <= min(events) <= max(events) <= n_events:
+            return None
+        actors = list(map(int, tokens[1::2]))
+    except ValueError:  # too long for int: the per-line checks name it
+        return None
+    if not n_events < min(actors) <= max(actors) <= n:
+        return None
+    return events, actors
+
+
 def parse_net_two_mode(
     text: str, *, casefold_actors: bool = False
 ) -> tuple[TwoModeNetwork, ParseDiagnostics]:
@@ -355,10 +452,22 @@ def parse_net_two_mode(
     more consecutive undefined ones.
     """
     diags = ParseDiagnostics()
-    head_no, (n, n_events), vertex_lines, edge_lines = _split_sections(text, 2)
+    # A regular file is read a section at a time.  The cut at the header's
+    # line end and at the *Edges line finds the sections as the section scan
+    # would if no line holds another line break, which a regular vertex
+    # block rules out.  Any other file goes to the scan and is read line by
+    # line as before, but for a regular vertex block, which is kept.
+    cut, defs, columns, head_no = _regular_cut(text), None, None, 1
+    if cut is not None:
+        (n, n_events), vertices, edges = cut
+        defs = _regular_vertices(vertices, n)
+        if defs is not None:
+            columns = _regular_edges(edges, n, n_events)
+    if columns is None:
+        head_no, (n, n_events), vertex_lines, edge_lines = _split_sections(text, 2)
     if n_events > n:
         raise FormatError(head_no, f"event count {n_events} exceeds vertex count {n}")
-    names, def_lines = _parse_vertex_defs(vertex_lines, n)
+    names, def_lines = defs if defs is not None else _parse_vertex_defs(vertex_lines, n)
 
     net = TwoModeNetwork(casefold_actors=casefold_actors)
     event_ids = [""]  # event index -> id; index 0 is no event
@@ -396,60 +505,90 @@ def parse_net_two_mode(
                 raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
             seen_actors.add(aid)
 
-    # One loop frame per edge: the tokens are read by int() (_int only names
-    # a number too long), each actor index is resolved to its id once, by the
-    # first edge that links it (its key in actor_ids marks it linked), and the
-    # seat is stored as TwoModeNetwork.add_affiliation stores it.
     holdings, warn, normalize = net._actor_events, diags.warnings.append, unicodedata.normalize
-    actor_ids: dict[int, str] = {}
-    records = duplicates = 0
-    for no, line in edge_lines:
-        parts = line.split()
-        if not 2 <= len(parts) <= 3 or not (
-            (parts[0].isdecimal() or parts[0].removeprefix("-").isdecimal())
-            and (parts[1].isdecimal() or parts[1].removeprefix("-").isdecimal())
-        ):
-            raise FormatError(no, f"malformed edge line: {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:  # raised again, by _int, for the first one too long
-            i, j = _int(parts[0], no), _int(parts[1], no)
-        if not 1 <= i <= n or not 1 <= j <= n:
-            idx = j if 1 <= i <= n else i
-            raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
-        if i <= n_events:
-            if j <= n_events:
-                raise BipartitenessError(no, f"edge {i} {j} joins two events")
-            event_idx, actor_idx = i, j
-        elif j <= n_events:
-            event_idx, actor_idx = j, i
-        else:
-            raise BipartitenessError(no, f"edge {i} {j} joins two actors")
-        aid = actor_ids.get(actor_idx)
-        if aid is None:
-            # the id built for the label check; an undefined actor's number
-            # is its own id, and case folding leaves it as it is
-            aid = ids.get(actor_idx)
+    if columns is not None:
+        # Every edge is event-first and in range.  Each linked actor's id is
+        # resolved once, in the order of their first edges, as the loop below
+        # would; a blank one is refused at its first edge.  The seat is
+        # stored as TwoModeNetwork.add_affiliation stores it.
+        events, actors = columns
+        first = len(names) + 3  # one vertex line a name, then the *Edges line
+        numbers = range(first, first + len(events))
+        actor_ids = {i: ids[i] if i in ids else str(i) for i in dict.fromkeys(actors)}
+        if not all(map(str.strip, actor_ids.values())):
+            blank = next(i for i, aid in actor_ids.items() if not aid.strip())
+            raise FormatError(numbers[actors.index(blank)], EMPTY_IDENTIFIER)
+        if casefold_actors:
+            actor_ids = {i: normalize("NFC", aid.casefold()) for i, aid in actor_ids.items()}
+        duplicates = 0
+        for no, event_idx, actor_idx in zip(numbers, events, actors):
+            aid, eid = actor_ids[actor_idx], event_ids[event_idx]
+            held = holdings.get(aid)
+            if held is None:  # a first board: its bare id
+                holdings[aid] = eid
+            elif type(held) is not dict and held != eid:  # a second board
+                holdings[aid] = {held: None, eid: None}
+            elif type(held) is dict and eid not in held:
+                held[eid] = None
+            else:
+                duplicates += 1
+                warn((no, f"duplicate affiliation collapsed: {event_idx} {actor_idx}"))
+        diags.records_read, diags.duplicates_collapsed = len(numbers), duplicates
+    else:
+        # One loop frame per edge: the tokens are read by int() (_int only
+        # names a number too long), each actor index is resolved to its id
+        # once, by the first edge that links it (its key in actor_ids marks it
+        # linked), and the seat is stored as TwoModeNetwork.add_affiliation
+        # stores it.
+        actor_ids: dict[int, str] = {}
+        records = duplicates = 0
+        for no, line in edge_lines:
+            parts = line.split()
+            if not 2 <= len(parts) <= 3 or not (
+                (parts[0].isdecimal() or parts[0].removeprefix("-").isdecimal())
+                and (parts[1].isdecimal() or parts[1].removeprefix("-").isdecimal())
+            ):
+                raise FormatError(no, f"malformed edge line: {line!r}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:  # raised again, by _int, for the first one too long
+                i, j = _int(parts[0], no), _int(parts[1], no)
+            if not 1 <= i <= n or not 1 <= j <= n:
+                idx = j if 1 <= i <= n else i
+                raise FormatError(no, f"vertex index {idx} out of range 1..{n}")
+            if i <= n_events:
+                if j <= n_events:
+                    raise BipartitenessError(no, f"edge {i} {j} joins two events")
+                event_idx, actor_idx = i, j
+            elif j <= n_events:
+                event_idx, actor_idx = j, i
+            else:
+                raise BipartitenessError(no, f"edge {i} {j} joins two actors")
+            aid = actor_ids.get(actor_idx)
             if aid is None:
-                aid = str(actor_idx)
-            elif not aid.strip():
-                raise FormatError(no, EMPTY_IDENTIFIER)
-            elif casefold_actors:
-                aid = normalize("NFC", aid.casefold())
-            actor_ids[actor_idx] = aid
-        records += 1
-        eid = event_ids[event_idx]
-        held = holdings.get(aid)
-        if held is None:  # a first board: its bare id
-            holdings[aid] = eid
-        elif type(held) is not dict and held != eid:  # a second board
-            holdings[aid] = {held: None, eid: None}
-        elif type(held) is dict and eid not in held:
-            held[eid] = None
-        else:
-            duplicates += 1
-            warn((no, f"duplicate affiliation collapsed: {i} {j}"))
-    diags.records_read, diags.duplicates_collapsed = records, duplicates
+                # the id built for the label check; an undefined actor's
+                # number is its own id, and case folding leaves it as it is
+                aid = ids.get(actor_idx)
+                if aid is None:
+                    aid = str(actor_idx)
+                elif not aid.strip():
+                    raise FormatError(no, EMPTY_IDENTIFIER)
+                elif casefold_actors:
+                    aid = normalize("NFC", aid.casefold())
+                actor_ids[actor_idx] = aid
+            records += 1
+            eid = event_ids[event_idx]
+            held = holdings.get(aid)
+            if held is None:  # a first board: its bare id
+                holdings[aid] = eid
+            elif type(held) is not dict and held != eid:  # a second board
+                holdings[aid] = {held: None, eid: None}
+            elif type(held) is dict and eid not in held:
+                held[eid] = None
+            else:
+                duplicates += 1
+                warn((no, f"duplicate affiliation collapsed: {i} {j}"))
+        diags.records_read, diags.duplicates_collapsed = records, duplicates
     if len(actor_ids) == n - n_events:  # every actor is linked: none dropped
         return net, diags
 

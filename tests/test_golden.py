@@ -70,6 +70,9 @@ def test_census_stats_only_matches_golden(capsys):
 STDERR_CASES = [
     ("membership_dups.csv", ["--normalize-names"]),
     ("two_mode_dups.net", []),
+    # a regular file, read by sections: repeated edges, an unlinked defined
+    # actor, undefined actors alone and in a run, vertex lines out of order
+    ("two_mode_regular_dups.net", []),
 ]
 
 

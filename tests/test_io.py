@@ -37,7 +37,15 @@ from interlock import (
     write_net_one_mode,
 )
 import interlock.io
-from interlock.io import _chunks, _CsvRows, _lines, _parse_vertex_defs, _split_sections, csv_kind
+from interlock.io import (
+    _chunks,
+    _CsvRows,
+    _lines,
+    _parse_vertex_defs,
+    _regular_edges,
+    _split_sections,
+    csv_kind,
+)
 from interlock.model import normalize_identifier
 
 
@@ -135,6 +143,14 @@ class TestParseNetTwoMode:
         text = '*Vertices 3 2\n1 "J1"\n2 "J2"\n3 "a"\n*Edges\n1 2\n'
         with pytest.raises(BipartitenessError):
             parse_net_two_mode(text)
+
+    @pytest.mark.parametrize("space", [" ", "\t"])  # edges read as a block, line by line
+    def test_blank_actor_label_refused_at_its_first_edge(self, space):
+        edges = "".join(f"1{space}{actor}\n" for actor in (2, 4, 3, 3))
+        text = f'*Vertices 4 1\n1 "J1"\n2 "a"\n3 "  "\n4 "b"\n*Edges\n{edges}'
+        with pytest.raises(FormatError) as err:
+            parse_net_two_mode(text)
+        assert (err.value.line, err.value.reason) == (9, "identifier is empty after trimming")
 
     def test_index_out_of_range(self):
         text = '*Vertices 2 1\n1 "J1"\n2 "a"\n*Edges\n1 5\n'
@@ -568,7 +584,7 @@ _NET_ACTOR_LABELS = [
 
 
 @st.composite
-def _two_mode_net_text(draw):
+def _irregular_two_mode_net_text(draw):
     """A two-mode NET file: defined and undefined vertices, repeated edges,
     edges with the actor first or a value token, and now and then an edge
     joining two events or two actors, an index out of range or too long for
@@ -607,6 +623,172 @@ def _two_mode_net_text(draw):
     return "\n".join(lines) + "\n"
 
 
+# Labels a regular vertex line may hold besides those above: a tab, a
+# quote-free apostrophe, a percent sign and a star inside the quotes.
+_REGULAR_LABELS = ["a\tb", "O'Neil", "x%y", "*Edges", " 1 2 "]
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+# Defects for a regular two-mode file, each with the path it must take,
+# counted as (calls of the section scan, calls of the per-line vertex
+# reader, edge blocks read), and the vertex and edge lines it needs to
+# change.  A file the cut cannot split or whose vertex block is not regular
+# is read line by line; a regular vertex block is kept when only the edges
+# are not.  A comment, a blank line or a missing final line end takes the
+# path of the section it is in.
+_BLOCKS = (0, 0, 1)
+_LINES = (1, 1, 0)
+_EDGE_LINES = (1, 0, 0)
+_DEFECTS = {
+    "comment": (None, 0, 0),
+    "blank line": (None, 0, 0),
+    "crlf": (_LINES, 0, 0),
+    "no final line end": (None, 0, 0),
+    "edges spelled otherwise": (_LINES, 0, 0),
+    "header spacing": (_LINES, 0, 0),
+    "non-ASCII header": (_LINES, 0, 0),
+    "label tail": (_LINES, 1, 0),
+    "tab before label": (_LINES, 1, 0),
+    "line break in label": (_LINES, 1, 0),
+    "non-ASCII index": (_LINES, 1, 0),
+    "repeated index": (_LINES, 2, 0),
+    "index out of range": (_LINES, 1, 0),
+    "vertex lines glued": (_LINES, 2, 0),
+    "index moved onto the line before": (_LINES, 2, 0),
+    "index moved into the line before": (_LINES, 2, 0),
+    "indented vertex": (_LINES, 1, 0),
+    "edge tab": (_EDGE_LINES, 0, 1),
+    "edge value": (_EDGE_LINES, 0, 2),
+    "one and three numbers": (_EDGE_LINES, 0, 2),
+    "actor first": (_EDGE_LINES, 0, 2),
+    "every edge actor-first": (_EDGE_LINES, 0, 1),
+    "a value on every edge": (_EDGE_LINES, 0, 1),
+    "one number and a space": (_EDGE_LINES, 0, 1),
+    "edge out of range": (_EDGE_LINES, 0, 1),
+    "non-ASCII edge": (_EDGE_LINES, 0, 1),
+    "edges glued": (_EDGE_LINES, 0, 2),
+    "number too long": (_EDGE_LINES, 0, 1),
+}
+
+
+@st.composite
+def _regular_two_mode_net_text(draw, defect=None):
+    """``(text, readers)``: a regular two-mode NET file (the header exactly
+    ``*Vertices n nEvents``, each vertex line ``<index> "<label>"``, each
+    edge line ``<event> <actor>``, in ASCII digits, one space apart, and a
+    line end after every line), with vertices defined or not, in any order,
+    repeated edges and unlinked actors; or such a file with ``defect``.
+    ``readers`` is the path expected, counted as in ``_DEFECTS``."""
+    readers, vertex_lines, edge_lines = _DEFECTS[defect] if defect else (_BLOCKS, 0, 0)
+    n_events = draw(st.integers(1, 3))
+    n = n_events + draw(st.integers(1, 6))
+    vertices = []
+    for idx in range(1, n + 1):
+        kind = draw(st.integers(int(idx <= vertex_lines), 3))
+        if kind == 1:
+            pool = _NET_EVENT_LABELS if idx <= n_events else _NET_ACTOR_LABELS
+            vertices.append(f'{idx} "{draw(st.sampled_from(pool + _REGULAR_LABELS))}"')
+        elif kind:
+            vertices.append(f'{idx} "{"J1" + "0" * idx if idx <= n_events else f"A{idx}"}"')
+    if draw(st.booleans()):
+        vertices = draw(st.permutations(vertices))
+    edges = []
+    seat = st.tuples(st.integers(1, n_events), st.integers(n_events + 1, n))
+    pool = draw(st.lists(seat, min_size=1, max_size=6))
+    for event, actor in draw(st.lists(st.sampled_from(pool), min_size=edge_lines, max_size=10)):
+        zeros = "0" * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        edges.append(f"{zeros}{event} {actor}")
+    head = f"*Vertices {n} {n_events}"
+    # a vertex line and an edge line to change, each with the line after it
+    # where a defect takes two
+    v = draw(st.integers(0, max(len(vertices) - max(vertex_lines, 1), 0)))
+    e = draw(st.integers(0, max(len(edges) - max(edge_lines, 1), 0)))
+    marker, end = "*Edges", "\n"
+    if defect == "header spacing":
+        head = head.replace(" ", draw(st.sampled_from(["\t", "  ", " \x0c", "\x85"])), 1)
+    elif defect == "non-ASCII header":
+        head = head.translate(_ARABIC_INDIC)
+    elif defect == "edges spelled otherwise":
+        marker = draw(st.sampled_from(["*edges", "*EDGES", "*Edges x"]))
+    elif defect == "label tail":
+        vertices[v] += draw(st.sampled_from(["x", " x", "\t", " 0.5 0.5", "7", " "]))
+    elif defect == "tab before label":
+        vertices[v] = vertices[v].replace(" ", "\t", 1)
+    elif defect == "line break in label":
+        index, _, rest = vertices[v].partition(' "')
+        brk = draw(st.sampled_from(["\x85", "\u2028", "\x1c", "\x0b"]))
+        vertices[v] = f'{index} "{brk}{rest}'
+    elif defect == "non-ASCII index":
+        index, _, rest = vertices[v].partition(" ")
+        vertices[v] = f"{index.translate(_ARABIC_INDIC)} {rest}"
+    elif defect == "repeated index":
+        vertices[v + 1] = vertices[v].partition(" ")[0] + " " + vertices[v + 1].partition(" ")[2]
+    elif defect == "index out of range":
+        vertices[v] = draw(st.sampled_from(["0", str(n + 1)])) + " " + vertices[v].partition(" ")[2]
+    elif defect == "vertex lines glued":
+        vertices[v : v + 2] = [vertices[v] + vertices[v + 1]]
+    elif defect == "index moved onto the line before":
+        # a tail of digits, and no number before the next label: as many
+        # numbers as lines, and the same digits and spaces
+        index, _, rest = vertices[v + 1].partition(" ")
+        vertices[v : v + 2] = [vertices[v] + index, " " + rest]
+    elif defect == "index moved into the line before":
+        # two numbers before one label, none before the next: as many
+        # numbers as lines, and the same digits and spaces
+        index, _, label = vertices[v].partition(" ")
+        index2, _, label2 = vertices[v + 1].partition(" ")
+        vertices[v : v + 2] = [f"{index} {index2}{label}", " " + label2]
+    elif defect == "indented vertex":
+        vertices[v] = " " + vertices[v]
+    elif defect == "edge tab":
+        edges[e] = edges[e].replace(" ", "\t")
+    elif defect == "edge value":  # on one edge of two or more
+        edges[e] += " 1"
+    elif defect == "one and three numbers":
+        edges[e] = edges[e].partition(" ")[0]
+        edges[e + 1] += " 1"
+    elif defect == "actor first":  # one edge turned, of two or more
+        first, _, second = edges[e].partition(" ")
+        edges[e] = f"{second} {first}"
+    elif defect == "every edge actor-first":
+        edges = [" ".join(edge.split()[::-1]) for edge in edges]
+    elif defect == "a value on every edge":
+        edges = [f"{edge} {draw(st.sampled_from(['1', '2', '10', '0']))}" for edge in edges]
+    elif defect == "one number and a space":
+        event, _, actor = edges[e].partition(" ")
+        edges[e] = draw(st.sampled_from([f"{event} ", f" {actor}"]))
+    elif defect == "edge out of range":
+        edges[e] = draw(st.sampled_from([f"0 {n}", f"1 {n + 1}", f"{n_events + 1} {n}"]))
+    elif defect == "non-ASCII edge":
+        edges[e] = edges[e].translate(_ARABIC_INDIC)
+    elif defect == "edges glued":
+        edges[e : e + 2] = [edges[e] + edges[e + 1]]
+    elif defect == "number too long":
+        edges[e] = f"1 {'9' * 5000}"
+    lines = [head, *vertices, marker, *edges]
+    if defect in ("comment", "blank line"):
+        line = "% a comment" if defect == "comment" else draw(st.sampled_from(["", "  ", "\t"]))
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, line)
+        readers = _LINES if at <= len(vertices) + 1 else _EDGE_LINES
+    elif defect == "crlf":
+        end = "\r\n"
+    text = "".join(line + end for line in lines)
+    if defect == "no final line end":
+        text = text[:-1]
+        readers = _EDGE_LINES if edges else _LINES
+    return text, readers
+
+
+@st.composite
+def _two_mode_net_text(draw):
+    """``(text, readers)``: a regular two-mode NET file, one with a defect,
+    or one drawn with no regard to regularity (its readers not known)."""
+    if draw(st.booleans()):
+        defect = draw(st.sampled_from([None] * (len(_DEFECTS) // 2) + list(_DEFECTS)))
+        return draw(_regular_two_mode_net_text(defect))
+    return draw(_irregular_two_mode_net_text()), None
+
+
 def _two_mode_outcome(parse, text, casefold):
     try:
         net, diags = parse(text, casefold_actors=casefold)
@@ -615,17 +797,49 @@ def _two_mode_outcome(parse, text, casefold):
     return net, net.events, net.actors, diags
 
 
-@settings(max_examples=400, deadline=None)
-@given(text=_two_mode_net_text(), casefold=st.booleans())
-def test_net_two_mode_matches_reference(text, casefold):
-    got = _two_mode_outcome(parse_net_two_mode, text, casefold)
+def _assert_two_mode_matches_reference(text, readers, casefold):
+    """The network, warnings or error of parse_net_two_mode are the
+    reference's; with ``readers`` known, so is the path it took."""
+    io_ = interlock.io
+    blocks = []
+
+    def edge_block(*args):
+        columns = _regular_edges(*args)
+        blocks.append(columns is not None)
+        return columns
+
+    with (
+        mock.patch.object(io_, "_split_sections", wraps=_split_sections) as scan,
+        mock.patch.object(io_, "_parse_vertex_defs", wraps=_parse_vertex_defs) as vertex_lines,
+        mock.patch.object(io_, "_regular_edges", edge_block),
+    ):
+        got = _two_mode_outcome(parse_net_two_mode, text, casefold)
     want = _two_mode_outcome(reference_parse_net_two_mode, text, casefold)
     assert got == want
+    if readers is not None:
+        took = (scan.call_count, vertex_lines.call_count, sum(blocks))
+        if isinstance(want[0], TwoModeNetwork):
+            assert took == readers
+        else:  # an error can end the parse before a reader is called
+            assert took[0] == readers[0] and all(t <= r for t, r in zip(took, readers))
     if isinstance(want[0], TwoModeNetwork):
         # exactly the actors on two or more boards hold a dictionary
         assert [type(held) is dict for held in got[0]._actor_events.values()] == [
             len(want[0].events_of(actor)) > 1 for actor in want[0].actors
         ]
+
+
+@settings(max_examples=800, deadline=None)
+@given(drawn=_two_mode_net_text(), casefold=st.booleans())
+def test_net_two_mode_matches_reference(drawn, casefold):
+    _assert_two_mode_matches_reference(*drawn, casefold)
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), casefold=st.booleans())
+def test_net_two_mode_defects_match_reference(defect, data, casefold):
+    _assert_two_mode_matches_reference(*data.draw(_regular_two_mode_net_text(defect)), casefold)
 
 
 # NET vertex lines: the quoted form with spaces, tabs and non-ASCII spaces
@@ -755,9 +969,28 @@ def _plain(piece):
     )
 
 
+# Cells for rows with one comma each, so that chunks are cut: the plain
+# bytes' edges (space and ~), the ASCII that is not plain (', \\, DEL and a
+# form feed) and non-ASCII, a lone surrogate included.
+_ROW_CELL = st.text(alphabet=" ~a'\\\x7f\x0c\x85\u00e9\u0130\ud800", max_size=3)
+
+
+@st.composite
+def _row_source_text(draw):
+    """Text of any of the characters the row source treats apart, or, as
+    often, rows of two such cells that each line holds one comma of."""
+    if draw(st.booleans()):
+        alphabet = ',"\r\n\x00\x0c\x85 ~\'\\\x7f\u00e9\u0130\ud800'
+        return draw(st.text(alphabet=alphabet, max_size=60))
+    rows = draw(st.lists(st.tuples(_ROW_CELL, _ROW_CELL), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(f"{a},{b}{newline}" for a, b in rows)
+    return text if draw(st.booleans()) else text.removesuffix(newline)
+
+
 @settings(max_examples=1500, deadline=None)
 @given(
-    text=st.text(alphabet=',"\r\n\x00\x0c\x85 ~\'\\\x7f\u00e9\u0130\ud800', max_size=60),
+    text=_row_source_text(),
     header=st.integers(0, 2),
     chunk=_CHUNKS,
     limit=st.one_of(st.integers(1, 12), st.just(csv.field_size_limit())),
