@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import unicodedata
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter
 
 from .model import EMPTY_IDENTIFIER, OneModeNetwork, TwoModeNetwork, normalize_identifier
@@ -369,13 +369,12 @@ def _regular_cut(text: str):
 
 
 def _regular_vertices(block: str, n: int):
-    """Labels and lines of the vertices the lines of ``block``, the first
-    on line 2, define, if every line reads ``<index> "<label>"`` with one
-    space and a line end, the index in ASCII digits, within 1..n and on no
-    other line, and no label holds a line break ``str.splitlines`` knows;
-    else None."""
+    """Labels of the vertices the lines of ``block`` define, in line order,
+    if every line reads ``<index> "<label>"`` with one space and a line end,
+    the index in ASCII digits, within 1..n and on no other line, and no
+    label holds a line break ``str.splitlines`` knows; else None."""
     if not block:
-        return {}, {}
+        return {}
     # the first and last characters the exact test below implies, checked
     # first to turn away a comment, a blank line or a tail there at no cost
     if not block[0].isdigit() or not block.endswith('"\n'):
@@ -398,7 +397,7 @@ def _regular_vertices(block: str, n: int):
     names = dict(zip(indices, labels))
     if not (len(names) == len(labels) and 1 <= min(names) and max(names) <= n):
         return None
-    return names, dict(zip(indices, range(2, 2 + len(labels))))
+    return names
 
 
 _ASCII_DIGITS = b"0123456789"
@@ -457,17 +456,30 @@ def parse_net_two_mode(
     # would if no line holds another line break, which a regular vertex
     # block rules out.  Any other file goes to the scan and is read line by
     # line as before, but for a regular vertex block, which is kept.
-    cut, defs, columns, head_no = _regular_cut(text), None, None, 1
+    cut, names, columns, head_no = _regular_cut(text), None, None, 1
     if cut is not None:
         (n, n_events), vertices, edges = cut
-        defs = _regular_vertices(vertices, n)
-        if defs is not None:
+        names = _regular_vertices(vertices, n)
+        if names is not None:
             columns = _regular_edges(edges, n, n_events)
     if columns is None:
         head_no, (n, n_events), vertex_lines, edge_lines = _split_sections(text, 2)
     if n_events > n:
         raise FormatError(head_no, f"event count {n_events} exceeds vertex count {n}")
-    names, def_lines = defs if defs is not None else _parse_vertex_defs(vertex_lines, n)
+    if names is None:
+        names, def_lines = _parse_vertex_defs(vertex_lines, n)
+    else:
+        def_lines = None
+
+    def line_of(i: int) -> int:
+        """The line defining vertex ``i``, or the header's for an undefined
+        one.  A regular vertex block defines its vertices in the order of
+        ``names``, the first on line 2; only an error or a dropped actor's
+        warning reads a line, so that map is built at the first one."""
+        nonlocal def_lines
+        if def_lines is None:
+            def_lines = dict(zip(names, count(2)))
+        return def_lines.get(i, head_no)
 
     net = TwoModeNetwork(casefold_actors=casefold_actors)
     event_ids = [""]  # event index -> id; index 0 is no event
@@ -477,21 +489,24 @@ def parse_net_two_mode(
         try:
             eid = net.add_event(label, label)
         except ValueError as exc:
-            raise FormatError(def_lines.get(i, head_no), str(exc)) from None
+            raise FormatError(line_of(i), str(exc)) from None
         if eid in seen_events:  # two labels that trim and normalize alike
-            raise FormatError(def_lines.get(i, head_no), f"duplicate event label {label!r}")
+            raise FormatError(line_of(i), f"duplicate event label {label!r}")
         seen_events.add(eid)
         event_ids.append(eid)
 
     # Actors are told apart by their trimmed NFC id, as the network merges
     # them (a blank label is kept raw and refused where an edge uses it).  An
     # undefined actor is named by its number, so it can clash only with an id
-    # reading as that.
-    ids = {
-        i: normalize_identifier(label) if label.strip() else label
-        for i, label in names.items()
-        if i > n_events
-    }
+    # reading as that.  NFC leaves ASCII text as it is, so when every label
+    # trims to ASCII an id is its label trimmed.
+    ids = {i: label.strip() or label for i, label in names.items() if i > n_events}
+    if not "".join(ids.values()).isascii():
+        ids = {
+            i: normalize_identifier(label) if label.strip() else label
+            for i, label in names.items()
+            if i > n_events
+        }
     digits = len(str(n))
     numbered = {int(aid) for aid in filter(str.isdecimal, ids.values()) if len(aid) <= digits}
     undefined = [k for k in numbered if n_events < k <= n and k not in ids]
@@ -502,7 +517,7 @@ def parse_net_two_mode(
             aid = ids.get(i, str(i))
             if aid in seen_actors:
                 label = _vertex_name(names, i)
-                raise FormatError(def_lines.get(i, head_no), f"duplicate actor label {label!r}")
+                raise FormatError(line_of(i), f"duplicate actor label {label!r}")
             seen_actors.add(aid)
 
     holdings, warn, normalize = net._actor_events, diags.warnings.append, unicodedata.normalize
@@ -605,7 +620,7 @@ def parse_net_two_mode(
                 "affiliation; dropped",
             )
         if idx <= n and idx not in actor_ids:
-            diags.warn(def_lines[idx], f"actor vertex {names[idx]!r} has no affiliation; dropped")
+            diags.warn(line_of(idx), f"actor vertex {names[idx]!r} has no affiliation; dropped")
         prev = idx
     return net, diags
 

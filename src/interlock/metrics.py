@@ -502,23 +502,22 @@ def vertex_metrics(
         for r, total in zip(sums.reach, sums.distance_sum)
     ]
     betweenness = list(betweenness_centrality(net).values())  # in vertex order
-    degree_ranks = rank_competition(degrees)
-    closeness_ranks = rank_competition(closeness)
-    betweenness_ranks = rank_competition(betweenness)
-    return [
-        VertexMetrics(
-            vertex=v,
-            label=net.label(v),
-            degree=degrees[i],
-            normalized_degree=degrees[i] / (n - 1) if n >= 2 else 0.0,
-            closeness=closeness[i],
-            betweenness=betweenness[i],
-            degree_rank=degree_ranks[i],
-            closeness_rank=closeness_ranks[i],
-            betweenness_rank=betweenness_ranks[i],
+    vertices, labels = net.vertices, net._labels
+    # one positional VertexMetrics a vertex, its fields in declared order
+    return list(
+        map(
+            VertexMetrics,
+            vertices,
+            [labels.get(v, v) for v in vertices],
+            degrees,
+            [d / (n - 1) for d in degrees] if n >= 2 else [0.0] * n,
+            closeness,
+            betweenness,
+            rank_competition(degrees),
+            rank_competition(closeness),
+            rank_competition(betweenness),
         )
-        for i, v in enumerate(net.vertices)
-    ]
+    )
 
 
 def degree_census_aggregates(degrees: Sequence[int]) -> NetworkAggregates:

@@ -18,12 +18,23 @@ def _project(vertices, labels: dict[str, str], groups) -> OneModeNetwork:
     """Count each group's vertex pairs by position and write the counts
     straight into position rows, then sort each row of two or more
     neighbours by position once: the vertices are normalized ids already,
-    and a count is a positive value of a pair of distinct positions."""
+    and a count is a positive value of a pair of distinct positions.  A
+    group of two, the most common, adds its one pair ordered by a single
+    comparison; larger groups are sorted and paired as they are counted."""
     index = {v: i for i, v in enumerate(vertices)}
     pos = index.__getitem__
-    counts: Counter[tuple[int, int]] = Counter(
-        chain.from_iterable(combinations(sorted(map(pos, g)), 2) for g in groups if len(g) > 1)
-    )
+    pairs: list[tuple[int, int]] = []
+    larger = []
+    add = pairs.append
+    for g in groups:
+        if len(g) == 2:
+            a, b = g
+            i, j = index[a], index[b]
+            add((i, j) if i < j else (j, i))
+        elif len(g) > 2:
+            larger.append(g)
+    counts: Counter[tuple[int, int]] = Counter(pairs)
+    counts.update(chain.from_iterable(combinations(sorted(map(pos, g)), 2) for g in larger))
     rows: list[dict[int, int]] = [{} for _ in vertices]
     for (i, j), value in counts.items():
         rows[i][j] = rows[j][i] = value

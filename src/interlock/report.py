@@ -8,11 +8,13 @@ is deterministic: identical inputs produce byte-identical text.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 
 from .cohesion import line_multiplicity_distribution, slice_decomposition
 from .metrics import (
     CLOSENESS_VARIANTS,
     NetworkAggregates,
+    VertexMetrics,
     degree_distribution,
     network_aggregates,
     vertex_metrics,
@@ -277,24 +279,21 @@ def stats_to_json(aggregates: NetworkAggregates) -> str:
     return _stats_json(_string(SCHEMA_VERSION), _aggregates_json(aggregates))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
+def _columns(rows, width: int) -> list:
+    """The ``width`` columns of ``rows``, each a tuple; empty ones for no rows."""
+    return list(zip(*rows)) or [()] * width
 
 
-def _render_rows(headers: list[str], rows: list[list]) -> str:
-    cells = [[_format_cell(c) for c in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in cells), 0) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in cells:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+def _render_columns(headers: list[str], columns) -> str:
+    """Fixed-width lines of ``headers`` over ``columns``, one sequence of
+    cells each: each column is formatted (reals with 3 decimals) and padded
+    to its widest cell, then the columns are zipped back into rows, two
+    spaces apart, with trailing space dropped."""
+    padded = []
+    for header, column in zip(headers, columns):
+        cells = [header, *[f"{c:.3f}" if isinstance(c, float) else str(c) for c in column]]
+        padded.append(map(str.ljust, cells, repeat(max(map(len, cells)))))
+    return "\n".join(["  ".join(row).rstrip() for row in zip(*padded)]) + "\n"
 
 
 def render_table(report: AnalysisReport, which: str) -> str:
@@ -306,12 +305,14 @@ def render_table(report: AnalysisReport, which: str) -> str:
     Reals carry 3 decimals.
     """
     if which == "degreeDist":
-        return _render_rows(
-            ["Degree", "Freq", "Freq%", "CumFreq"],
-            [list(row) for row in report.degree_distribution.rows],
+        return _render_columns(
+            ["Degree", "Freq", "Freq%", "CumFreq"], _columns(report.degree_distribution.rows, 4)
         )
     if which == "centrality":
-        return _render_rows(
+        vertices = report.vertices
+        columns = _columns(vertices, len(VertexMetrics._fields))
+        _, labels, degrees, normalized, closeness, betweenness, rd, rc, rb = columns
+        return _render_columns(
             [
                 "Label",
                 "Journal",
@@ -324,23 +325,19 @@ def render_table(report: AnalysisReport, which: str) -> str:
                 "BetweennessRank",
             ],
             [
-                [
-                    pos,
-                    vm.label,
-                    vm.degree,
-                    vm.normalized_degree,
-                    vm.degree_rank,
-                    vm.closeness,
-                    vm.closeness_rank,
-                    vm.betweenness,
-                    vm.betweenness_rank,
-                ]
-                for pos, vm in enumerate(report.vertices, start=1)
+                range(1, len(vertices) + 1),
+                labels,
+                degrees,
+                normalized,
+                rd,
+                closeness,
+                rc,
+                betweenness,
+                rb,
             ],
         )
     if which == "lineMultiplicity":
-        return _render_rows(
-            ["LineValue", "Freq", "Freq%"],
-            [list(row) for row in report.line_multiplicity.rows],
+        return _render_columns(
+            ["LineValue", "Freq", "Freq%"], _columns(report.line_multiplicity.rows, 3)
         )
     raise ValueError(f"unknown table kind: {which!r}; expected one of {TABLE_KINDS}")

@@ -907,3 +907,65 @@ def reference_closeness_centrality(
     if variant == "component":
         score *= r / (net.n - 1)
     return score
+
+
+def _reference_format_cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)
+
+
+def _reference_render_rows(headers: list[str], rows: list[list]) -> str:
+    cells = [[_reference_format_cell(c) for c in row] for row in rows]
+    widths = [
+        max(len(headers[i]), *(len(row[i]) for row in cells), 0) if cells else len(headers[i])
+        for i in range(len(headers))
+    ]
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
+    for row in cells:
+        lines.append(
+            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_table(report, which: str) -> str:
+    """One report table, formatted a row at a time: each cell, then each
+    column's width over all rows, then each row padded to the widths."""
+    if which == "degreeDist":
+        return _reference_render_rows(
+            ["Degree", "Freq", "Freq%", "CumFreq"],
+            [list(row) for row in report.degree_distribution.rows],
+        )
+    if which == "centrality":
+        return _reference_render_rows(
+            [
+                "Label",
+                "Journal",
+                "Degree",
+                "NormDegree",
+                "DegreeRank",
+                "Closeness",
+                "ClosenessRank",
+                "Betweenness",
+                "BetweennessRank",
+            ],
+            [
+                [
+                    pos,
+                    vm.label,
+                    vm.degree,
+                    vm.normalized_degree,
+                    vm.degree_rank,
+                    vm.closeness,
+                    vm.closeness_rank,
+                    vm.betweenness,
+                    vm.betweenness_rank,
+                ]
+                for pos, vm in enumerate(report.vertices, start=1)
+            ],
+        )
+    assert which == "lineMultiplicity"
+    return _reference_render_rows(
+        ["LineValue", "Freq", "Freq%"], [list(row) for row in report.line_multiplicity.rows]
+    )

@@ -179,8 +179,11 @@ def _boards(seed):
     for e in range(n_events):
         two_mode.add_event(f"E{e}")
     for a in range(n_events):
-        for e in rng.sample(range(n_events), rng.choice((1, 1, 2, 3, 5))):
+        for e in rng.sample(range(n_events), rng.choice((1, 1, 2, 2, 3, 5))):
             two_mode.add_affiliation(f"E{e}", f"a{a}")
+    # actors on exactly two boards, in both orders of the boards' positions
+    pairs = [[two_mode.events.index(e) for e in held] for held in two_mode.holdings()]
+    assert {held[0] < held[1] for held in pairs if len(held) == 2} == {True, False}
     graph = nx.Graph()
     graph.add_nodes_from(two_mode.events, side="event")
     graph.add_nodes_from((("a", a) for a in two_mode.actors), side="actor")
@@ -195,6 +198,7 @@ def test_event_projection(seed):
     two_mode, graph = _boards(seed)
     expected = bipartite.weighted_projected_graph(graph, two_mode.events)
     net = project_events(two_mode)
+    assert all(list(row) == sorted(row) for row in net._rows)
     assert set(net.vertices) == set(expected.nodes)
     assert net.edge_count == expected.number_of_edges()
     for u, v, value in net.edges():
@@ -206,6 +210,7 @@ def test_actor_projection(seed):
     two_mode, graph = _boards(seed)
     expected = bipartite.weighted_projected_graph(graph, [("a", a) for a in two_mode.actors])
     net = project_actors(two_mode)
+    assert all(list(row) == sorted(row) for row in net._rows)
     assert {("a", a) for a in net.vertices} == set(expected.nodes)
     assert net.edge_count == expected.number_of_edges()
     for u, v, value in net.edges():

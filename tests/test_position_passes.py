@@ -237,6 +237,11 @@ def _two_mode_networks(draw):
     seats = st.tuples(st.sampled_from(_RAW_EVENTS), st.sampled_from(_RAW_ACTORS))
     for event, actor in draw(st.lists(seats, max_size=14)):
         net.add_affiliation(event, actor)
+    # actors of their own on one board, on two in either order, or on more
+    boards = st.lists(st.sampled_from(_RAW_EVENTS), min_size=1, max_size=4, unique=True)
+    for k, held in enumerate(draw(st.lists(boards, max_size=5))):
+        for event in held:
+            net.add_affiliation(event, f"g{k}")
     return net
 
 
@@ -249,6 +254,7 @@ def test_projections_match_name_based_projection(two_mode):
     ):
         mine, ref = project(two_mode), reference(two_mode)
         assert mine == ref
+        assert all(list(row) == sorted(row) for row in mine._rows)
         assert [mine.label(v) for v in mine.vertices] == [ref.label(v) for v in ref.vertices]
         assert list(mine.edges()) == list(ref.edges())
         assert write_dot(mine) == reference_write_dot(ref)

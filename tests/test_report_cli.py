@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import rederive_aggregates, reference_report_dict
+from oracles import rederive_aggregates, reference_render_table, reference_report_dict
 
 from interlock import (
     AnalysisReport,
@@ -36,6 +36,7 @@ from interlock import (
 )
 from interlock.cli import _OPTIONS, _WARNING_BATCH, _read_argv, build_parser, run_analyze
 from interlock.data import TABLE2_DEGREES, TOY_BOARDS, data_path, load_text
+from interlock.report import TABLE_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +281,50 @@ def test_json_writer_matches_json_dumps(report):
     want = json.dumps(reference_report_dict(report), indent=2, ensure_ascii=False) + "\n"
     assert report_to_json(report) == want
     assert json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n" == want
+
+
+# Table cells: labels with non-ASCII, wide and combining characters (whose
+# length is not their width) besides the JSON texts; the JSON floats, among
+# them NaN, both infinities, -0.0 and 1e16; and ranks from a short range,
+# so that they tie.
+_TABLE_LABEL = st.one_of(
+    _TEXT, st.sampled_from(["e\u0301", "Journal f\u00fcr", "\u65e5\u672c", "a\u0308\u0301", ""])
+)
+_RANK = st.integers(1, 3)
+_TABLE_REPORT = st.builds(
+    AnalysisReport,
+    aggregates=st.none(),
+    vertices=st.lists(
+        st.builds(
+            VertexMetrics,
+            vertex=_TEXT,
+            label=_TABLE_LABEL,
+            degree=st.one_of(_RANK, _INT),
+            normalized_degree=_FLOAT,
+            closeness=_FLOAT,
+            betweenness=_FLOAT,
+            degree_rank=_RANK,
+            closeness_rank=_RANK,
+            betweenness_rank=_RANK,
+        ),
+        max_size=5,
+    ),
+    degree_distribution=st.builds(
+        DegreeDistribution, rows=st.lists(st.tuples(_INT, _RANK, _FLOAT, _FLOAT), max_size=4)
+    ),
+    line_multiplicity=st.builds(
+        LineMultiplicityDistribution,
+        rows=st.lists(st.tuples(_INT, _RANK, _FLOAT), max_size=4),
+        max_value=_INT,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_TABLE_REPORT)
+def test_tables_match_row_wise_rendering(report):
+    for kind in TABLE_KINDS:
+        assert render_table(report, kind) == reference_render_table(report, kind)
 
 
 # Runs whose stderr cannot be written: a parse error, a missing input, an
