@@ -216,6 +216,7 @@ def parse_csv_affiliations(
     # reader reads on carries line 0: its line is read from reader only for
     # a warning or an error.
     event_ids, add_event, holdings = net._event_ids, net.add_event, net._actor_events
+    multi = net._multi.append
     normalize, warn = unicodedata.normalize, diags.warnings.append
     records = duplicates = 0
     with _CsvRows(text, reader) as pieces:
@@ -254,7 +255,8 @@ def parse_csv_affiliations(
                 if held is None:  # a first board: its bare id
                     holdings[aid] = eid
                 elif type(held) is not dict and held != eid:  # a second board
-                    holdings[aid] = {held: None, eid: None}
+                    holdings[aid] = held = {held: None, eid: None}
+                    multi(held)
                 elif type(held) is dict and eid not in held:
                     held[eid] = None
                 else:
@@ -520,7 +522,8 @@ def parse_net_two_mode(
                 raise FormatError(line_of(i), f"duplicate actor label {label!r}")
             seen_actors.add(aid)
 
-    holdings, warn, normalize = net._actor_events, diags.warnings.append, unicodedata.normalize
+    holdings, multi = net._actor_events, net._multi.append
+    warn, normalize = diags.warnings.append, unicodedata.normalize
     if columns is not None:
         # Every edge is event-first and in range.  Each linked actor's id is
         # resolved once, in the order of their first edges, as the loop below
@@ -542,7 +545,8 @@ def parse_net_two_mode(
             if held is None:  # a first board: its bare id
                 holdings[aid] = eid
             elif type(held) is not dict and held != eid:  # a second board
-                holdings[aid] = {held: None, eid: None}
+                holdings[aid] = held = {held: None, eid: None}
+                multi(held)
             elif type(held) is dict and eid not in held:
                 held[eid] = None
             else:
@@ -597,7 +601,8 @@ def parse_net_two_mode(
             if held is None:  # a first board: its bare id
                 holdings[aid] = eid
             elif type(held) is not dict and held != eid:  # a second board
-                holdings[aid] = {held: None, eid: None}
+                holdings[aid] = held = {held: None, eid: None}
+                multi(held)
             elif type(held) is dict and eid not in held:
                 held[eid] = None
             else:
@@ -671,8 +676,11 @@ def write_net_one_mode(net: OneModeNetwork) -> str:
     Vertices appear 1-based in network order with quoted labels; edge
     lines are ``i j value`` with i < j.
     """
+    labels = net._labels  # a vertex without a label is labelled by its id
     out = [f"*Vertices {net.n}"]
-    out += [f"{pos} {_net_quote(net.label(v))}" for pos, v in enumerate(net.vertices, start=1)]
+    out += [
+        f"{pos} {_net_quote(labels.get(v, v))}" for pos, v in enumerate(net.vertices, start=1)
+    ]
     out.append("*Edges")
     out += [f"{i + 1} {j + 1} {value}" for i, j, value in net._lines()]
     return "\n".join(out) + "\n"
@@ -716,11 +724,11 @@ def _dot_quote(text: str) -> str:
 
 def write_dot(net: OneModeNetwork) -> str:
     """Graphviz rendering of the valued network (undirected)."""
-    vertices = net.vertices
+    vertices, labels = net.vertices, net._labels
     quoted = list(map(_dot_quote, vertices))  # each id quoted once, by position
     out = ["graph interlock {"]
     for q, v in zip(quoted, vertices):
-        label = net.label(v)
+        label = labels.get(v, v)
         out.append(f"  {q} [label={_dot_quote(label)}];" if label != v else f"  {q};")
     out += [
         f'  {quoted[i]} -- {quoted[j]} [label="{value}", weight={value}];'

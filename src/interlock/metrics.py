@@ -126,8 +126,11 @@ def _sweep(net: OneModeNetwork) -> PathSums:
     position, relabelled ``0..k-1`` in position order (so neighbour lists
     stay ascending) and swept from every member with k-long buffers: a
     network costs the sum over its components of k*m, and an isolated
-    vertex costs O(1).  See :func:`_sweep_component` for the order of the
-    float additions.  Geodesic counts are exact integers.
+    vertex costs O(1).  So does a pair that :func:`_split_cpus` leaves to
+    one process: each end reaches the other at distance 1, and with no
+    third member neither lies between two others, so both dependencies stay
+    0.0, as Brandes's pass leaves them.  See :func:`_sweep_component` for
+    the order of the float additions.  Geodesic counts are exact integers.
     """
     rows = net._sorted_rows()
     n = len(rows)
@@ -136,6 +139,7 @@ def _sweep(net: OneModeNetwork) -> PathSums:
     distance_sum = [0] * n
     components: list[list[int]] = []
     local = [-1] * n  # position -> index within its component; -1 until seen
+    pairs_alone = len(_split_cpus(2, 2)) < 2  # a pair's k*m is 2
     for start in range(n):
         if local[start] >= 0:
             continue
@@ -149,6 +153,10 @@ def _sweep(net: OneModeNetwork) -> PathSums:
         components.append(members)
         k = len(members)
         if k == 1:
+            continue
+        if k == 2 and pairs_alone:  # [start, its one neighbour]: ascending
+            other = members[1]
+            reach[start] = reach[other] = distance_sum[start] = distance_sum[other] = 1
             continue
         members.sort()
         for i, p in enumerate(members):

@@ -69,6 +69,10 @@ class TwoModeNetwork:
     walk one container per actor.  A holding becomes a dictionary on the
     actor's second distinct board and stays one.
 
+    ``_multi`` lists the dictionary holdings, each once, in the order they
+    were made: the holdings the event projection pairs, found without a
+    pass over every actor.
+
     Package-private: both readers in :mod:`interlock.io` store each seat by
     normalized id straight into ``_actor_events``, as :meth:`add_affiliation`
     does, in their own row or edge loop, where one call per row is a
@@ -83,6 +87,7 @@ class TwoModeNetwork:
         # event ids once it has two; all in encounter order
         self._events: dict[str, str] = {}
         self._actor_events: dict[str, str | dict[str, None]] = {}
+        self._multi: list[dict[str, None]] = []  # the dict holdings above
 
     def add_event(self, event: str, label: str | None = None) -> str:
         """Register an event; an empty board is fine.  Returns the stored id.
@@ -113,7 +118,8 @@ class TwoModeNetwork:
         elif type(held) is dict:
             held[eid] = None
         else:
-            self._actor_events[aid] = {held: None, eid: None}
+            self._actor_events[aid] = held = {held: None, eid: None}
+            self._multi.append(held)
         return True
 
     @property

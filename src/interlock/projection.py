@@ -47,10 +47,12 @@ def project_events(net: TwoModeNetwork) -> OneModeNetwork:
     """Network of events; a line's value counts the actors two boards share.
 
     Vertices keep event ingestion order, so downstream reports are
-    deterministic.
+    deterministic.  Only actors on two or more boards add pairs, and the
+    network lists their holdings: an actor on one board costs nothing here.
+    The rows do not depend on the holdings' order, as pairs are counted and
+    rows of two or more neighbours sorted.
     """
-    holdings = net._actor_events.values()  # an actor on one board adds no pair
-    return _project(net.events, dict(net._events), [h for h in holdings if type(h) is dict])
+    return _project(net.events, dict(net._events), net._multi)
 
 
 def project_actors(net: TwoModeNetwork) -> OneModeNetwork:

@@ -231,29 +231,30 @@ def report_to_json(report: AnalysisReport) -> str:
         )
         for pos, vm in enumerate(report.vertices, start=1)
     ]
-    slices = [
-        _slice_json(
-            sl.m,
-            sl.network.edge_count,
-            len(sl.components),
-            _array(
-                [
-                    _component_json(
-                        # a one-member array as _array writes it at depth 5
-                        f"[\n            {_string(comp.members[0])}\n          ]"
-                        if len(comp.members) == 1
-                        else _array(list(map(_string, comp.members)), 5),
-                        comp.size,
-                        comp.edge_count,
-                        _float(comp.density),
+    # A one-member component is written around its one encoded member, from
+    # a template kept per size, line count and density repr: the repr, not
+    # the float, as 0.0 and -0.0 are equal keys that print apart.
+    lone: dict[tuple, list[str]] = {}
+    slices = []
+    for sl in report.slices:
+        components = []
+        for members, size, edge_count, density in sl.components:
+            if len(members) == 1:
+                key = (size, edge_count, float.__repr__(density))
+                around = lone.get(key)
+                if around is None:
+                    # a one-member array as _array writes it at depth 5
+                    text = _component_json(
+                        "[\n            \0\n          ]", size, edge_count, _float(density)
                     )
-                    for comp in sl.components
-                ],
-                3,
-            ),
+                    around = lone[key] = text.split("\0")
+                components.append(around[0] + _string(members[0]) + around[1])
+            else:
+                text = _array(list(map(_string, members)), 5)
+                components.append(_component_json(text, size, edge_count, _float(density)))
+        slices.append(
+            _slice_json(sl.m, sl.network.edge_count, len(sl.components), _array(components, 3))
         )
-        for sl in report.slices
-    ]
     return _document_json(
         _string(report.schema),
         _string(report.closeness_variant),

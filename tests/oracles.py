@@ -386,6 +386,14 @@ def validate_two_mode(net: TwoModeNetwork) -> None:
                 raise ValueError(f"actor {aid!r} holds unlisted event {eid!r}")
 
 
+def assert_multi_board_list(net: TwoModeNetwork) -> None:
+    """The network's list of multi-board holdings, which the event
+    projection reads, holds exactly its dictionary holdings, each once, by
+    identity."""
+    dicts = [held for held in net._actor_events.values() if type(held) is dict]
+    assert sorted(map(id, net._multi)) == sorted(map(id, dicts))
+
+
 @dataclass
 class ReferenceIngest:
     """What a membership CSV holds, as :func:`reference_parse_csv_affiliations`

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    assert_multi_board_list,
     brute_project_events,
     reference_csv_kind,
     reference_parse_csv_affiliations,
@@ -575,6 +576,7 @@ def test_csv_ingest_matches_per_row_reference(text, casefold, chunk):
     assert [type(held) is dict for held in net._actor_events.values()] == [
         boards[actor] > 1 for actor in net.actors
     ]
+    assert_multi_board_list(net)
     validate_two_mode(net)
     assert diags.warnings == want.warnings
     assert diags.records_read == want.records_read
@@ -892,6 +894,7 @@ def _assert_two_mode_matches_reference(text, readers, casefold):
         assert [type(held) is dict for held in got[0]._actor_events.values()] == [
             len(want[0].events_of(actor)) > 1 for actor in want[0].actors
         ]
+        assert_multi_board_list(got[0])
 
 
 # ASCII text, with the whitespace str.strip removes besides the space, the

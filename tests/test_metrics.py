@@ -218,8 +218,10 @@ _BLOCK = st.one_of(
 def scattered_nets(draw, max_n: int = 60) -> OneModeNetwork:
     """Disjoint blocks of at most ``max_n`` vertices in all, their positions
     shuffled so components interleave; a repeated largest block gives equal
-    largest components."""
-    blocks = draw(st.lists(_BLOCK, max_size=8))
+    largest components.  Most nets hold up to three pairs besides, the
+    commonest component of a sparse field after the isolate, which the sweep
+    settles without a pass."""
+    blocks = [(2, [(0, 1)])] * draw(st.integers(0, 3)) + draw(st.lists(_BLOCK, max_size=8))
     if blocks and draw(st.booleans()):
         blocks.append(max(blocks, key=lambda block: block[0]))
     kept, n = [], 0
@@ -249,6 +251,28 @@ def test_sweep_matches_the_per_source_reference_bit_for_bit(net):
     sums = metrics._sweep(net)
     _assert_matches_reference(adjacency, sums)
     assert sums.components == [[net.index(v) for v in c] for c in weak_components(net)]
+
+
+def test_a_pair_below_the_split_threshold_is_not_swept(monkeypatch):
+    """Three pairs and a triangle, interleaved: only the triangle's members
+    are swept as sources, and every pair reads reach 1, distance sum 1 and
+    dependency 0.0, as the reference sweep gives them."""
+    net = OneModeNetwork(f"v{i}" for i in range(9))
+    for a, b in [(0, 5), (7, 2), (1, 3), (3, 8), (8, 1), (6, 4)]:
+        net.add_edge(f"v{a}", f"v{b}", 1)
+    adjacency = sorted_adjacency(net)
+    swept, sweep = [], metrics._sweep_sources
+
+    def counted(adj, sources, *rest):
+        swept.extend((len(adj), source) for source in sources)
+        return sweep(adj, sources, *rest)
+
+    monkeypatch.setattr(metrics, "_sweep_sources", counted)
+    sums = metrics._sweep(net)
+    assert swept == [(3, 0), (3, 1), (3, 2)]
+    assert sums.components == [[0, 5], [1, 3, 8], [2, 7], [4, 6]]
+    _assert_matches_reference(adjacency, sums)
+    assert [sums.reach[p] for p in (0, 5, 2, 7, 4, 6)] == [1] * 6
 
 
 _CAN_SPLIT = all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "sched_setaffinity"))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ReferenceSeats,
+    assert_multi_board_list,
     reference_closeness_centrality,
     reference_line_multiplicity_distribution,
     reference_project_actors,
@@ -120,6 +121,7 @@ def test_seat_store_matches_a_set_of_pairs(casefold, calls):
         assert held & set(_SEAT_PROBES) == want & set(_SEAT_PROBES)
     for event in net.events:
         assert net.members(event) == ref.members(event)
+    assert_multi_board_list(net)
     if calls:
         _assert_untracked_store(net)
 
@@ -131,6 +133,7 @@ def test_seat_store_matches_a_set_of_pairs(casefold, calls):
         for event in sorted(ref.events_of(actor), key=ref.events.index, reverse=True):
             same.add_affiliation(event, actor)
     assert net == same
+    assert_multi_board_list(same)
     several = [a for a in ref.actors if len(ref.events_of(a)) > 1]
     if several:  # one seat fewer
         fewer = TwoModeNetwork(casefold_actors=casefold)

@@ -242,18 +242,32 @@ _SINGLETON = st.builds(
     edge_count=st.just(0),
     density=st.sampled_from([0.0, -0.0]),
 )
+# A one-member summary of any size, line count and density.
+_ONE_MEMBER = st.builds(
+    ComponentSummary,
+    members=st.lists(_TEXT, min_size=1, max_size=1),
+    size=st.one_of(st.just(1), _INT),
+    edge_count=st.one_of(st.just(0), _INT),
+    density=_FLOAT,
+)
 
 
 @st.composite
 def _slice(draw):
     """A slice of a few lines among up to eight journals; many of its
-    components are singletons, as in a sparse field's higher slices."""
+    components are singletons, as in a sparse field's higher slices.  Half
+    the slices hold two singletons that differ only in their density's
+    sign: equal floats that the JSON text spells apart."""
     net = OneModeNetwork(f"v{i}" for i in range(draw(st.integers(0, 8))))
     for i in range(1, net.n):
         if draw(st.booleans()):
             net.add_edge("v0", f"v{i}", 1)
-    components = st.lists(st.one_of(_SINGLETON, _COMPONENT), max_size=8)
-    return SliceDecomposition(m=draw(_INT), network=net, components=draw(components))
+    components = draw(st.lists(st.one_of(_SINGLETON, _ONE_MEMBER, _COMPONENT), max_size=8))
+    if draw(st.booleans()):
+        for density in draw(st.permutations([0.0, -0.0])):
+            at = draw(st.integers(0, len(components)))
+            components.insert(at, ComponentSummary([draw(_TEXT)], 1, 0, density))
+    return SliceDecomposition(m=draw(_INT), network=net, components=components)
 
 
 _REPORT = st.builds(
